@@ -1,7 +1,8 @@
 """E18 — extension: batching both protocol phases.
 
 The E7 ablation shows config batching floors at the 28,488 readback
-round trips; the ranged-readback command removes those too.  The sweep
+round trips; the batched-readback command (``ICAP_readback_batch``, the
+wire family the networked session streams) removes those too.  The sweep
 projects the paper-scale duration collapsing from 28.5 s to ~1 s (the
 bound where every frame crosses the ICAP and the wire exactly once),
 and the functional benchmark verifies detection and frame localization

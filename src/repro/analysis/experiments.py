@@ -1022,9 +1022,9 @@ def e18_full_batching(
     batch_sizes: Tuple[int, ...] = (1, 4, 16, 64, 256, 1024),
     network: NetworkModel = LAB_NETWORK,
 ) -> FullBatchingResult:
-    """Batch *both* phases (config per E7, readback per the range
-    command) and watch the 28.5 s networked duration collapse toward the
-    ICAP-bound floor.
+    """Batch *both* phases (config per E7, readback per the
+    ``ICAP_readback_batch`` command) and watch the 28.5 s networked
+    duration collapse toward the ICAP-bound floor.
 
     Functional correctness of readback batching (detection + frame
     localization preserved) is exercised by

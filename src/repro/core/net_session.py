@@ -53,14 +53,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, cast
 
 from repro.errors import NetworkError, ProtocolError
+from repro.core.protocol import readback_schedule
 from repro.core.prover import SachaProver
 from repro.core.report import AttestationReport, FailureReason
 from repro.core.verifier import SachaVerifier
 from repro.net.arq import ArqTuning
-from repro.net.batch import pack_config_commands, pack_readback_plan
+from repro.net.batch import pack_config_commands, reassemble_readback
 from repro.net.channel import Channel, Endpoint
 from repro.net.ethernet import ETHERTYPE_SACHA, EthernetFrame, MacAddress
 from repro.net.messages import (
@@ -71,7 +72,6 @@ from repro.net.messages import (
     IcapReadbackBatchCommand,
     IcapReadbackCommand,
     IcapReadbackMaskedCommand,
-    IcapReadbackRangeCommand,
     MacChecksumCommand,
     MacChecksumResponse,
     ReadbackBatchResponse,
@@ -104,7 +104,6 @@ _PROVER_SPAN_NAMES = {
     IcapReadbackCommand: "prover_readback",
     IcapReadbackBatchCommand: "prover_readback",
     IcapReadbackMaskedCommand: "prover_readback",
-    IcapReadbackRangeCommand: "prover_readback",
     MacChecksumCommand: "prover_checksum",
 }
 
@@ -158,6 +157,7 @@ class NetworkAttestationSession:
         self._channel = channel
         self._prover = prover
         self._verifier = verifier
+        self._frame_bytes = verifier.system.device.frame_bytes
         self._rng = rng or DeterministicRng(0)
         self._reliable = reliable
         self._arq_timeout_ns = arq_timeout_ns
@@ -212,6 +212,7 @@ class NetworkAttestationSession:
         self._phase = _Phase.IDLE
         self._nonce = b""
         self._plan: List[int] = []
+        self._readbacks: Iterator[Command] = iter(())
         self._plan_cursor = 0
         self._config_steps = 0
         self._responses: List[ReadbackResponse] = []
@@ -351,6 +352,25 @@ class NetworkAttestationSession:
         if registry.enabled:
             label_names = tuple(sorted(labels))
             registry.counter(name, help_text, labels=label_names).inc(**labels)
+
+    def _drop_undecodable(self, side: str) -> None:
+        """Count a frame dropped because it failed to decode."""
+        self.undecodable_frames += 1
+        self._count(
+            "sacha_session_undecodable_frames_total",
+            "Frames the session dropped because they failed to decode",
+            side=side,
+        )
+
+    def _ignore_unexpected(self) -> None:
+        """Count a response the verifier ignored: out of phase, a
+        duplicate, or a kind this transport shape never expects."""
+        self.unexpected_frames += 1
+        self._count(
+            "sacha_session_unexpected_frames_total",
+            "Out-of-phase or duplicate responses the session ignored",
+            side="verifier",
+        )
 
     # -- verifier side -----------------------------------------------------------
 
@@ -506,6 +526,7 @@ class NetworkAttestationSession:
             self._send_to_prover(command.encode())
 
         self._plan = self._verifier.readback_plan()
+        self._readbacks = readback_schedule(self._verifier, self._plan)
         self._phase = _Phase.READBACK
         self._send_next_readback()
 
@@ -524,7 +545,11 @@ class NetworkAttestationSession:
         config_batches = pack_config_commands(config_commands)
         self._plan = self._verifier.readback_plan()
         self._phase = _Phase.READBACK
-        readback_batches = pack_readback_plan(self._plan, self._batch_frames)
+        # Pipelining implies a batch above 1: every command is a batch.
+        readback_batches = cast(
+            List[IcapReadbackBatchCommand],
+            list(readback_schedule(self._verifier, self._plan, self._batch_frames)),
+        )
         # One burst carries the whole command schedule: (telemetry hello,)
         # config, readbacks, checksum.  The ARQ layer sees the burst's
         # tail, so a window's worth of commands costs one cumulative ACK.
@@ -536,7 +561,7 @@ class NetworkAttestationSession:
         payloads.extend(batch.encode() for batch in config_batches)
         payloads.extend(batch.encode() for batch in readback_batches)
         payloads.append(MacChecksumCommand().encode())
-        self._send_burst_to_prover(payloads)
+        self._send_to_prover(*payloads)
         if registry.enabled:
             counter = registry.counter(
                 "sacha_net_batch_frames_total",
@@ -556,23 +581,10 @@ class NetworkAttestationSession:
             )
 
     def _finish_pipelined(self) -> None:
-        """Materialize per-frame responses from the reassembled sweep.
-
-        Each response's ``data`` is a zero-copy ``memoryview`` slice of
-        the joined sweep buffer — the verifier only reads the bytes (and
-        rejoins them for the vectorized comparison), so no per-frame copy
-        is needed.
-        """
-        data = b"".join(self._rx_buffers)
-        frame_bytes = self._verifier.system.device.frame_bytes
-        view = memoryview(data)
-        self._responses = [
-            ReadbackResponse(
-                frame_index=frame_index,
-                data=view[slot * frame_bytes : (slot + 1) * frame_bytes],
-            )
-            for slot, frame_index in enumerate(self._plan)
-        ]
+        """Materialize per-frame responses from the reassembled sweep."""
+        self._responses = reassemble_readback(
+            self._plan, b"".join(self._rx_buffers), self._frame_bytes
+        )
         if self._mac_stream is not None:
             if self._mac_pending:
                 self._mac_stream.update(b"".join(self._mac_pending))
@@ -585,9 +597,9 @@ class NetworkAttestationSession:
             self.total_retransmissions += getattr(port, "retransmissions", 0)
 
     def _send_next_readback(self) -> None:
-        if self._plan_cursor < len(self._plan):
-            frame_index = self._plan[self._plan_cursor]
-            self._send_to_prover(IcapReadbackCommand(frame_index).encode())
+        command = next(self._readbacks, None)
+        if command is not None:
+            self._send_to_prover(command.encode())
         else:
             self._phase = _Phase.CHECKSUM
             self._send_to_prover(MacChecksumCommand().encode())
@@ -598,12 +610,7 @@ class NetworkAttestationSession:
         except NetworkError:
             # Corrupted in flight on a raw (non-ARQ) channel: drop it and
             # let the drained-simulation path fail the attempt.
-            self.undecodable_frames += 1
-            self._count(
-                "sacha_session_undecodable_frames_total",
-                "Frames the session dropped because they failed to decode",
-                side="verifier",
-            )
+            self._drop_undecodable("verifier")
             return
         if isinstance(response, ReadbackResponse):
             if (
@@ -613,42 +620,19 @@ class NetworkAttestationSession:
             ):
                 # A duplicate or reordered copy; the expected-index check
                 # keeps the MAC stream aligned with the plan.
-                self.unexpected_frames += 1
-                self._count(
-                    "sacha_session_unexpected_frames_total",
-                    "Out-of-phase or duplicate responses the session ignored",
-                    side="verifier",
-                )
+                self._ignore_unexpected()
                 return
             self._responses.append(response)
             self._plan_cursor += 1
             self._send_next_readback()
             return
-        if isinstance(response, MacChecksumResponse):
-            if self._phase is not _Phase.CHECKSUM:
-                self.unexpected_frames += 1
-                self._count(
-                    "sacha_session_unexpected_frames_total",
-                    "Out-of-phase or duplicate responses the session ignored",
-                    side="verifier",
-                )
-                return
-            self._tag = response.tag
-            self._phase = _Phase.DONE
-            self._end_ns = self._simulator.now_ns
-            return
-        self.unexpected_frames += 1
+        self._take_tag_or_ignore(response)
 
     def _on_verifier_delivery_pipelined(self, frame: EthernetFrame) -> None:
         try:
             response = decode_response(frame.payload)
         except NetworkError:
-            self.undecodable_frames += 1
-            self._count(
-                "sacha_session_undecodable_frames_total",
-                "Frames the session dropped because they failed to decode",
-                side="verifier",
-            )
+            self._drop_undecodable("verifier")
             return
         if isinstance(response, ConfigAck):
             # Cumulative, like the ARQ's ACKs: the high-water mark is the
@@ -661,15 +645,12 @@ class NetworkAttestationSession:
                 or response.base_slot != self._rx_slot
                 or response.frame_count < 1
                 or self._rx_slot + response.frame_count > len(self._plan)
+                or len(response.data) != response.frame_count * self._frame_bytes
             ):
                 # The plan-position cursor rejects anything but the next
-                # contiguous fragment, keeping the MAC stream aligned.
-                self.unexpected_frames += 1
-                self._count(
-                    "sacha_session_unexpected_frames_total",
-                    "Out-of-phase or duplicate responses the session ignored",
-                    side="verifier",
-                )
+                # contiguous, whole-frame fragment, keeping the MAC stream
+                # aligned with the plan.
+                self._ignore_unexpected()
                 return
             self._rx_buffers.append(response.data)
             self._rx_slot += response.frame_count
@@ -687,23 +668,23 @@ class NetworkAttestationSession:
             if self._rx_slot == len(self._plan):
                 self._phase = _Phase.CHECKSUM
             return
-        if isinstance(response, MacChecksumResponse):
-            # The tag only counts once the sweep is complete: a tag over
-            # missing data must fail towards inconclusive (drained), not
-            # towards a false reject.
-            if self._phase is not _Phase.CHECKSUM:
-                self.unexpected_frames += 1
-                self._count(
-                    "sacha_session_unexpected_frames_total",
-                    "Out-of-phase or duplicate responses the session ignored",
-                    side="verifier",
-                )
-                return
+        self._take_tag_or_ignore(response)
+
+    def _take_tag_or_ignore(self, response: Response) -> None:
+        """Take the MAC tag, or count the response as unexpected.
+
+        The tag counts only once the sweep is complete: a tag over
+        missing data must fail towards inconclusive, not a false reject.
+        """
+        if (
+            isinstance(response, MacChecksumResponse)
+            and self._phase is _Phase.CHECKSUM
+        ):
             self._tag = response.tag
             self._phase = _Phase.DONE
             self._end_ns = self._simulator.now_ns
-            return
-        self.unexpected_frames += 1
+        else:
+            self._ignore_unexpected()
 
     def _send_trace_hello(self) -> None:
         """Announce the attempt's trace id — only when telemetry is on.
@@ -716,29 +697,26 @@ class NetworkAttestationSession:
                 TraceHelloCommand(bytes.fromhex(self._trace_id)).encode()
             )
 
-    def _send_to_prover(self, payload: bytes) -> None:
-        if self._link_failure is not None:
-            return
-        try:
-            self._verifier_port.send(
-                EthernetFrame(
-                    destination=PROVER_MAC,
-                    source=VERIFIER_MAC,
-                    ethertype=ETHERTYPE_SACHA,
-                    payload=payload,
-                )
-            )
-        except NetworkError as error:
-            self._on_link_failure(error)
+    def _send(
+        self,
+        port: Endpoint,
+        destination: MacAddress,
+        source: MacAddress,
+        payloads: Iterable[bytes],
+    ) -> None:
+        """Frame ``payloads`` and hand them to ``port`` as one burst.
 
-    def _send_burst_to_prover(self, payloads: List[bytes]) -> None:
+        One call per burst lets an ARQ port see the burst's tail (one
+        cumulative ACK per window); a link that has given up fails the
+        attempt instead of raising out of the event loop.
+        """
         if self._link_failure is not None:
             return
         try:
-            self._verifier_port.send_many(
+            port.send_many(
                 EthernetFrame(
-                    destination=PROVER_MAC,
-                    source=VERIFIER_MAC,
+                    destination=destination,
+                    source=source,
                     ethertype=ETHERTYPE_SACHA,
                     payload=payload,
                 )
@@ -746,6 +724,12 @@ class NetworkAttestationSession:
             )
         except NetworkError as error:
             self._on_link_failure(error)
+
+    def _send_to_prover(self, *payloads: bytes) -> None:
+        self._send(self._verifier_port, PROVER_MAC, VERIFIER_MAC, payloads)
+
+    def _send_to_verifier(self, *payloads: bytes) -> None:
+        self._send(self._prover_port, VERIFIER_MAC, PROVER_MAC, payloads)
 
     # -- prover side ---------------------------------------------------------------
 
@@ -763,12 +747,7 @@ class NetworkAttestationSession:
         try:
             command = decode_command(frame.payload)
         except NetworkError:
-            self.undecodable_frames += 1
-            self._count(
-                "sacha_session_undecodable_frames_total",
-                "Frames the session dropped because they failed to decode",
-                side="prover",
-            )
+            self._drop_undecodable("prover")
             return
         target = self._prover_registry or get_registry()
         if isinstance(command, TraceHelloCommand):
@@ -819,7 +798,8 @@ class NetworkAttestationSession:
         result = self._prover.handle_command(command)
         if result is None:
             return
-        self._send_prover_result(result)
+        replies = result if isinstance(result, list) else [result]
+        self._send_to_verifier(*(reply.encode() for reply in replies))
 
     def _send_config_ack(self) -> None:
         """Send the cumulative configuration acknowledgement."""
@@ -829,40 +809,4 @@ class NetworkAttestationSession:
             "sacha_config_acks_total",
             "Cumulative ConfigAcks sent by provers",
         )
-        try:
-            self._prover_port.send(
-                EthernetFrame(
-                    destination=VERIFIER_MAC,
-                    source=PROVER_MAC,
-                    ethertype=ETHERTYPE_SACHA,
-                    payload=ConfigAck(self._prover_configs_applied).encode(),
-                )
-            )
-        except NetworkError as error:
-            self._on_link_failure(error)
-
-    def _send_prover_result(self, result: "Union[Response, List[Response]]") -> None:
-        if self._link_failure is not None:
-            return
-        try:
-            if isinstance(result, list):
-                self._prover_port.send_many(
-                    EthernetFrame(
-                        destination=VERIFIER_MAC,
-                        source=PROVER_MAC,
-                        ethertype=ETHERTYPE_SACHA,
-                        payload=response.encode(),
-                    )
-                    for response in result
-                )
-            else:
-                self._prover_port.send(
-                    EthernetFrame(
-                        destination=VERIFIER_MAC,
-                        source=PROVER_MAC,
-                        ethertype=ETHERTYPE_SACHA,
-                        payload=result.encode(),
-                    )
-                )
-        except NetworkError as error:
-            self._on_link_failure(error)
+        self._send_to_verifier(ConfigAck(self._prover_configs_applied).encode())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.errors import ProtocolError
 from repro.core.prover import SachaProver
@@ -22,27 +22,23 @@ from repro.core.verifier import SachaVerifier
 from repro.obs import log as obs_log
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
-from repro.net.ethernet import (
-    FCS_BYTES,
-    HEADER_BYTES,
-    IFG_BYTES,
-    MAX_PAYLOAD,
-    PREAMBLE_BYTES,
+from repro.net.batch import (
+    BATCH_RESPONSE_HEADER_BYTES,
+    pack_readback_plan,
+    reassemble_readback,
 )
+from repro.net.ethernet import FRAME_OVERHEAD_BYTES
 from repro.net.messages import (
+    IcapReadbackBatchCommand,
     IcapReadbackCommand,
-    IcapReadbackRangeCommand,
+    IcapReadbackMaskedCommand,
     MacChecksumCommand,
     MacChecksumResponse,
     MaskedReadbackAck,
-    ReadbackRangeResponse,
+    ReadbackBatchResponse,
     ReadbackResponse,
 )
 from repro.net.phy import GigabitPhy
-
-#: Wire header of a ``ReadbackRangeResponse``: opcode(1) + start(4) +
-#: length(4) — see ``repro.net.messages``.
-RANGE_RESPONSE_HEADER_BYTES = 9
 from repro.sim.tracing import TraceRecorder
 from repro.timing.model import ActionCounts, ActionTimingModel, ProtocolAction
 from repro.timing.network import IDEAL_NETWORK, NetworkModel
@@ -68,9 +64,10 @@ class SessionOptions:
     #: readback; the prover masks before MACing and returns no frame
     #: content.  Similar communication latency, no tamper localization.
     mask_at_prover: bool = False
-    #: Batch consecutive readbacks into one command/response round trip
-    #: (the optimization the E7 ablation motivates).  1 = the paper's
-    #: one-frame-per-packet protocol.  Incompatible with mask_at_prover.
+    #: Frames per ``ICAP_readback_batch`` command/response round trip
+    #: (the optimization the E7 ablation motivates), capped at one MTU
+    #: payload of indices.  1 = the paper's one-frame-per-packet
+    #: protocol.  Must be >= 1; incompatible with mask_at_prover.
     readback_batch_frames: int = 1
     #: Emit one observability span per readback step (28k+ spans on a
     #: full XC6VLX240T run — phase spans alone are the default).  Only
@@ -89,22 +86,75 @@ class SessionResult:
     tag: bytes = b""
 
 
-def _contiguous_batches(plan, batch_frames):
-    """Split a plan into (start, count) runs of consecutive indices."""
-    batches = []
-    position = 0
-    while position < len(plan):
-        start = plan[position]
-        count = 1
-        while (
-            position + count < len(plan)
-            and count < batch_frames
-            and plan[position + count] == start + count
+ReadbackCommand = Union[
+    IcapReadbackCommand, IcapReadbackMaskedCommand, IcapReadbackBatchCommand
+]
+
+#: Trace label of each readback command kind (its wire opcode name).
+_READBACK_KINDS = {
+    IcapReadbackCommand: "ICAP_readback",
+    IcapReadbackMaskedCommand: "ICAP_readback_masked",
+    IcapReadbackBatchCommand: "ICAP_readback_batch",
+}
+
+
+def readback_schedule(
+    verifier: SachaVerifier,
+    plan: Sequence[int],
+    batch_frames: int = 1,
+    mask_at_prover: bool = False,
+) -> Iterator[ReadbackCommand]:
+    """The readback commands covering ``plan``, in plan order.
+
+    The one place that decides how a plan becomes commands, for the
+    in-memory run and the networked session alike: the Section-6.1
+    ``ICAP_readback(frame, Msk)`` per frame under prover-side masking,
+    the paper's per-frame ``ICAP_readback`` for a batch of 1, and
+    MTU-capped ``ICAP_readback_batch`` commands otherwise.  Commands
+    are built lazily, so a full-device plan is never held as 28k
+    command objects.
+    """
+    if batch_frames < 1:
+        raise ProtocolError(f"readback batch must be >= 1, got {batch_frames}")
+    if mask_at_prover:
+        if batch_frames > 1:
+            raise ProtocolError(
+                "readback batching is incompatible with prover-side masking"
+            )
+        mask = verifier.system.combined_mask()
+        return (
+            IcapReadbackMaskedCommand(
+                frame_index=frame_index, mask=mask.frame_mask(frame_index)
+            )
+            for frame_index in plan
+        )
+    if batch_frames == 1:
+        return (IcapReadbackCommand(frame_index) for frame_index in plan)
+    return iter(pack_readback_plan(plan, batch_frames))
+
+
+def _received_frames(
+    command: ReadbackCommand, reply: object, frame_bytes: int
+) -> List[ReadbackResponse]:
+    """Type-check a readback reply; return the frame contents it carries."""
+    if isinstance(command, IcapReadbackBatchCommand):
+        if isinstance(reply, list) and all(
+            isinstance(fragment, ReadbackBatchResponse) for fragment in reply
         ):
-            count += 1
-        batches.append((start, count))
-        position += count
-    return batches
+            return reassemble_readback(
+                command.frame_indices,
+                b"".join(fragment.data for fragment in reply),
+                frame_bytes,
+            )
+    elif isinstance(command, IcapReadbackMaskedCommand):
+        if isinstance(reply, MaskedReadbackAck):
+            return []
+    elif isinstance(reply, ReadbackResponse):
+        return [reply]
+    raise ProtocolError(
+        f"prover returned {type(reply).__name__} to "
+        f"{_READBACK_KINDS[type(command)]}"
+    )
 
 
 def run_attestation(
@@ -120,10 +170,9 @@ def run_attestation(
     model = ActionTimingModel(verifier.system.device)
     device = verifier.system.device
     elapsed = 0.0
-
-    def tick(action: ProtocolAction) -> None:
-        nonlocal elapsed
-        elapsed += model.action_ns(action)
+    # Table-3 action costs, computed once.  Steps add them to the sim
+    # clock one action at a time, so the float sums are reproducible.
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = map(model.action_ns, ProtocolAction)
 
     registry = get_registry()
     obs_on = registry.enabled
@@ -172,9 +221,9 @@ def run_attestation(
             config_ns = 0.0
             for command in config_commands:
                 start = elapsed
-                tick(ProtocolAction.A1)
+                elapsed += a1
                 prover.handle_command(command)
-                tick(ProtocolAction.A2)
+                elapsed += a2
                 config_ns += elapsed - start
                 trace.record(
                     start, "ICAP_config", "vrf->prv", f"frame {command.frame_index}"
@@ -189,133 +238,74 @@ def run_attestation(
 
         # -- full configuration readback (Figure 9, middle) -------------------
         plan = verifier.readback_plan()
+        schedule = readback_schedule(
+            verifier, plan, options.readback_batch_frames, options.mask_at_prover
+        )
+        frame_bytes = device.frame_bytes
+        if options.mask_at_prover:
+            send_ns = model.masked_readback_send_ns()
+            sendback_ns = model.masked_ack_ns()
+        else:
+            send_ns, sendback_ns = a3, a8
+        # A batched answer replaces A8: MTU-sized fragments, each paying
+        # its header plus the full preamble/header/FCS/IFG overhead at
+        # PHY line rate.
+        ns_per_byte = GigabitPhy().ns_per_byte
+        fragment_ns = (BATCH_RESPONSE_HEADER_BYTES + FRAME_OVERHEAD_BYTES) * ns_per_byte
+        frame_wire_ns = frame_bytes * ns_per_byte
         responses: List[ReadbackResponse] = []
         readback_ns = 0.0
         readback_commands = 0
         first = True
-        if options.mask_at_prover and options.readback_batch_frames > 1:
-            raise ProtocolError(
-                "readback batching is incompatible with prover-side masking"
-            )
         with span("readback", clock=clock, registry=registry, frames=len(plan)):
-            if options.mask_at_prover:
-                for command in verifier.masked_readback_commands(plan):
-                    start = elapsed
-                    elapsed += model.masked_readback_send_ns()
-                    if first:
-                        tick(ProtocolAction.A5)
-                        trace.record(elapsed, "MAC_init", "prv")
-                        first = False
-                    with frame_span(command.frame_index):
-                        ack = prover.handle_command(command)
-                        if not isinstance(ack, MaskedReadbackAck):
-                            raise ProtocolError(
-                                f"prover returned {type(ack).__name__} to "
-                                "masked readback"
-                            )
-                        tick(ProtocolAction.A4)
-                        tick(ProtocolAction.A6)
-                        elapsed += model.masked_ack_ns()
-                    readback_ns += elapsed - start
-                    trace.record(
-                        start,
-                        "ICAP_readback_masked",
-                        "vrf->prv",
-                        f"frame {command.frame_index}",
-                    )
-            elif options.readback_batch_frames > 1:
-                frame_bytes = verifier.system.device.frame_bytes
-                phy = GigabitPhy()
-                per_frame_overhead = (
-                    PREAMBLE_BYTES + HEADER_BYTES + FCS_BYTES + IFG_BYTES
+            for command in schedule:
+                frames = (
+                    command.frame_indices
+                    if isinstance(command, IcapReadbackBatchCommand)
+                    else (command.frame_index,)
                 )
-                for batch_start, batch_count in _contiguous_batches(
-                    plan, options.readback_batch_frames
-                ):
-                    start = elapsed
-                    tick(ProtocolAction.A3)
-                    if first:
-                        tick(ProtocolAction.A5)
-                        trace.record(elapsed, "MAC_init", "prv")
-                        first = False
-                    response = prover.handle_command(
-                        IcapReadbackRangeCommand(
-                            start_index=batch_start, count=batch_count
+                start = elapsed
+                elapsed += send_ns
+                if first:
+                    elapsed += a5
+                    trace.record(elapsed, "MAC_init", "prv")
+                    first = False
+                with frame_span(frames[0]):
+                    reply = prover.handle_command(command)
+                    received = _received_frames(command, reply, frame_bytes)
+                    for _ in frames:
+                        elapsed += a4
+                        elapsed += a6
+                    if isinstance(reply, list):
+                        elapsed += (
+                            len(reply) * fragment_ns + len(frames) * frame_wire_ns
                         )
-                    )
-                    if not isinstance(response, ReadbackRangeResponse):
-                        raise ProtocolError(
-                            f"prover returned {type(response).__name__} to a "
-                            "ranged readback"
-                        )
-                    for offset in range(batch_count):
-                        tick(ProtocolAction.A4)
-                        tick(ProtocolAction.A6)
-                        responses.append(
-                            ReadbackResponse(
-                                frame_index=batch_start + offset,
-                                data=response.data[
-                                    offset * frame_bytes : (offset + 1) * frame_bytes
-                                ],
-                            )
-                        )
-                    # One serialization for the whole batch (A8 amortized):
-                    # the ranged response spans as many MTU-sized Ethernet
-                    # frames as its payload needs, each paying the full
-                    # preamble/header/FCS/IFG overhead at PHY line rate.
-                    payload_bytes = (
-                        RANGE_RESPONSE_HEADER_BYTES + batch_count * frame_bytes
-                    )
-                    fragments = -(-payload_bytes // MAX_PAYLOAD)
-                    elapsed += (
-                        payload_bytes + fragments * per_frame_overhead
-                    ) * phy.ns_per_byte
-                    readback_ns += elapsed - start
-                    readback_commands += 1
-                    trace.record(
-                        start,
-                        "ICAP_readback_range",
-                        "vrf->prv",
-                        f"frames {batch_start}..{batch_start + batch_count - 1}",
-                    )
-            else:
-                for frame_index in plan:
-                    start = elapsed
-                    tick(ProtocolAction.A3)
-                    if first:
-                        tick(ProtocolAction.A5)
-                        trace.record(elapsed, "MAC_init", "prv")
-                        first = False
-                    with frame_span(frame_index):
-                        response = prover.handle_command(
-                            IcapReadbackCommand(frame_index)
-                        )
-                        if not isinstance(response, ReadbackResponse):
-                            raise ProtocolError(
-                                f"prover returned {type(response).__name__} "
-                                "to ICAP_readback"
-                            )
-                        tick(ProtocolAction.A4)
-                        tick(ProtocolAction.A6)
-                        tick(ProtocolAction.A8)
-                    readback_ns += elapsed - start
-                    responses.append(response)
-                    trace.record(
-                        start, "ICAP_readback", "vrf->prv", f"frame {frame_index}"
-                    )
+                    else:
+                        elapsed += sendback_ns
+                readback_ns += elapsed - start
+                readback_commands += 1
+                responses.extend(received)
+                trace.record(
+                    start,
+                    _READBACK_KINDS[type(command)],
+                    "vrf->prv",
+                    f"frame {frames[0]}"
+                    if len(frames) == 1
+                    else f"{len(frames)} frames from frame {frames[0]}",
+                )
 
         # -- checksum exchange (Figure 9, bottom) ------------------------------
         with span("checksum", clock=clock, registry=registry):
             start = elapsed
-            tick(ProtocolAction.A9)
+            elapsed += a9
             checksum_response = prover.handle_command(MacChecksumCommand())
             if not isinstance(checksum_response, MacChecksumResponse):
                 raise ProtocolError(
                     f"prover returned {type(checksum_response).__name__} to "
                     "MAC_checksum"
                 )
-            tick(ProtocolAction.A7)
-            tick(ProtocolAction.A10)
+            elapsed += a7
+            elapsed += a10
             checksum_ns = elapsed - start
             trace.record(start, "MAC_checksum", "vrf->prv")
             trace.record(elapsed, "MAC_response", "prv->vrf")
@@ -323,7 +313,7 @@ def run_attestation(
         # -- verdict ----------------------------------------------------------
         counts = ActionCounts(
             config_steps=len(config_commands),
-            readback_steps=readback_commands or len(plan),
+            readback_steps=readback_commands,
         )
         network_ns = options.network.overhead_ns(counts)
         if options.mask_at_prover:

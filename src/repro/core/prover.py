@@ -27,11 +27,9 @@ from repro.net.messages import (
     IcapReadbackBatchCommand,
     IcapReadbackCommand,
     IcapReadbackMaskedCommand,
-    IcapReadbackRangeCommand,
     MacChecksumCommand,
     MacChecksumResponse,
     MaskedReadbackAck,
-    ReadbackRangeResponse,
     ReadbackResponse,
     Response,
     TraceHelloCommand,
@@ -170,9 +168,6 @@ class SachaProver:
         if isinstance(command, IcapReadbackMaskedCommand):
             self.handle_readback_masked(command.frame_index, command.mask)
             return MaskedReadbackAck(frame_index=command.frame_index)
-        if isinstance(command, IcapReadbackRangeCommand):
-            data = self.handle_readback_range(command.start_index, command.count)
-            return ReadbackRangeResponse(start_index=command.start_index, data=data)
         if isinstance(command, MacChecksumCommand):
             return MacChecksumResponse(tag=self.handle_checksum())
         if isinstance(command, TraceHelloCommand):
@@ -192,28 +187,23 @@ class SachaProver:
         readback performs one MAC update step (A6) and sends the frame
         content back (A8) so the verifier can apply the Msk.
         """
-        if self._mac is None:
-            self._mac = self._new_checksum()
         data = self.board.fpga.icap.readback_frame(frame_index)
-        self._mac.update(data)
-        self.readbacks_handled += 1
+        self._fold(data, 1)
         return data
 
     def handle_readback_range(self, start_index: int, count: int) -> bytes:
-        """Batched readback: ``count`` consecutive frames, one response.
+        """Bulk readback: ``count`` consecutive frames, one MAC fold.
 
         The ICAP performs one bulk sweep over the range and the MAC folds
         the whole buffer in one update — byte-identical to ``count``
         per-frame readback/update steps, without materializing ``count``
-        separate frame copies.
+        separate frame copies.  :meth:`handle_readback_batch` serves each
+        contiguous run of a batch through this.
         """
         if count < 1:
             raise ProtocolError(f"batch count must be positive, got {count}")
-        if self._mac is None:
-            self._mac = self._new_checksum()
         data = self.board.fpga.icap.readback_range(start_index, count)
-        self._mac.update(data)
-        self.readbacks_handled += count
+        self._fold(data, count)
         return data
 
     def handle_config_batch(
@@ -234,27 +224,21 @@ class SachaProver:
         frame_indices: Sequence[int],
         max_payload: int = MAX_PAYLOAD,
     ) -> List[Response]:
-        """Batched readback: bulk ICAP sweeps, one MAC fold, MTU fragments.
+        """Batched readback: one bulk sweep per run, MTU fragments.
 
         The index vector is split into maximal contiguous runs, each
-        served by one bulk :meth:`~repro.fpga.icap.Icap.readback_range`;
-        the concatenated buffer folds into the MAC in a single update —
-        byte-identical to per-frame readback/update steps because CMAC is
-        invariant to chunk boundaries — and is sliced into MTU-sized
-        :class:`ReadbackBatchResponse` fragments.
+        served by :meth:`handle_readback_range` — byte-identical to
+        per-frame readback/update steps because CMAC is invariant to
+        chunk boundaries — and the concatenated buffer is sliced into
+        MTU-sized :class:`ReadbackBatchResponse` fragments.
         """
         if not frame_indices:
             raise ProtocolError("readback batch must name at least one frame")
-        if self._mac is None:
-            self._mac = self._new_checksum()
-        icap = self.board.fpga.icap
         buffers = [
-            icap.readback_range(run.start, len(run))
+            self.handle_readback_range(run.start, len(run))
             for run in contiguous_runs(frame_indices)
         ]
         data = buffers[0] if len(buffers) == 1 else b"".join(buffers)
-        self._mac.update(data)
-        self.readbacks_handled += len(frame_indices)
         frame_bytes = self.board.fpga.device.frame_bytes
         return list(
             fragment_readback_data(base_slot, data, frame_bytes, max_payload)
@@ -267,8 +251,6 @@ class SachaProver:
         clears the masked (register) bits and folds the *masked* frame
         into the MAC.  No frame content is sent back.
         """
-        if self._mac is None:
-            self._mac = self._new_checksum()
         data = self.board.fpga.icap.readback_frame(frame_index)
         if len(mask) != len(data):
             raise ProtocolError(
@@ -277,8 +259,15 @@ class SachaProver:
             )
         words = np.frombuffer(data, dtype=">u4")
         keep = np.bitwise_not(np.frombuffer(mask, dtype=">u4"))
-        self._mac.update((words & keep).astype(">u4").tobytes())
-        self.readbacks_handled += 1
+        self._fold((words & keep).astype(">u4").tobytes(), 1)
+
+    def _fold(self, data: bytes, frames: int) -> None:
+        """Fold ``frames`` read-back frames into the run's MAC, creating
+        it on the run's first readback (Init MAC_K, A5)."""
+        if self._mac is None:
+            self._mac = self._new_checksum()
+        self._mac.update(data)
+        self.readbacks_handled += frames
 
     def handle_checksum(self) -> bytes:
         """MAC_checksum: finalize (A7) and return the tag (A10)."""
@@ -317,6 +306,3 @@ class SachaProver:
         """Drop any in-progress MAC (e.g. the verifier timed out)."""
         self._mac = None
         self._flush_command_counts()
-
-
-ProverLike = Union[SachaProver]

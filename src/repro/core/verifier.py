@@ -21,11 +21,7 @@ from repro.fpga.mask import MaskFile
 from repro.errors import VerificationError
 from repro.core.orders import ReadbackOrder, default_order
 from repro.core.report import AttestationReport
-from repro.net.messages import (
-    IcapConfigCommand,
-    IcapReadbackMaskedCommand,
-    ReadbackResponse,
-)
+from repro.net.messages import IcapConfigCommand, ReadbackResponse
 from repro.obs import log as obs_log
 from repro.obs.metrics import get_registry
 from repro.utils.rng import DeterministicRng
@@ -196,34 +192,14 @@ class SachaVerifier:
 
     # -- masked-readback variant (Section 6.1 alternative) --------------------
 
-    def masked_readback_commands(
-        self, plan: Sequence[int]
-    ) -> List[IcapReadbackMaskedCommand]:
-        """The ``ICAP_readback(frame, Msk)`` commands of the variant."""
-        mask = self.system.combined_mask()
-        return [
-            IcapReadbackMaskedCommand(
-                frame_index=frame_index, mask=mask.frame_mask(frame_index)
-            )
-            for frame_index in plan
-        ]
-
     def expected_masked_mac(self, nonce: bytes, plan: Sequence[int]) -> bytes:
         """MAC over the *masked golden* configuration in plan order."""
         golden = self.system.golden_memory(nonce)
         mask = self.system.combined_mask()
         mac = AesCmac(self._key)
-        from repro.perf import get_config
-
-        if get_config().frame_fastpath:
-            indices = np.asarray(plan, dtype=np.intp)
-            masked = mask.apply_to_sweep(golden.frames_array()[indices], plan)
-            mac.update(masked.astype(">u4").tobytes())
-        else:
-            for frame_index in plan:
-                mac.update(
-                    mask.apply_to_frame(frame_index, golden.read_frame(frame_index))
-                )
+        indices = np.asarray(plan, dtype=np.intp)
+        masked = mask.apply_to_sweep(golden.frames_array()[indices], plan)
+        mac.update(masked.astype(">u4").tobytes())
         return mac.finalize()
 
     def evaluate_masked(
@@ -302,29 +278,13 @@ class SachaVerifier:
         # the extension needs expected-state tracking.
         golden = self.system.golden_memory(nonce)
         mask = self.system.combined_mask()
-        from repro.perf import get_config
-
-        if get_config().frame_fastpath:
-            mismatched = self._mismatched_frames_vectorized(
-                golden, mask, responses
-            )
-        else:
-            mismatched = []
-            for response in responses:
-                expected = mask.apply_to_frame(
-                    response.frame_index, golden.read_frame(response.frame_index)
-                )
-                received = response.data
-                if not self.attest_live_state:
-                    received = mask.apply_to_frame(response.frame_index, received)
-                if expected != received and response.frame_index not in mismatched:
-                    mismatched.append(response.frame_index)
+        mismatched = self._mismatched_frames(golden, mask, responses)
         report.mismatched_frames = sorted(set(mismatched))
         report.config_match = not mismatched
         _observe_verdict(report)
         return report
 
-    def _mismatched_frames_vectorized(
+    def _mismatched_frames(
         self,
         golden: ConfigurationMemory,
         mask: MaskFile,
@@ -335,8 +295,7 @@ class SachaVerifier:
         One vectorized pass over the whole sweep: received frames are
         joined into a ``(n, words_per_frame)`` big-endian array, golden
         rows gathered by index, both masked with the cached keep bits,
-        and the row-wise comparison yields the mismatch set — identical
-        semantics to the per-frame loop.
+        and the row-wise comparison yields the mismatch set.
         """
         if not responses:
             return []

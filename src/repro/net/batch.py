@@ -28,6 +28,7 @@ from repro.net.messages import (
     IcapConfigCommand,
     IcapReadbackBatchCommand,
     ReadbackBatchResponse,
+    ReadbackResponse,
 )
 
 #: opcode(1) + base_slot(4) + count(2)
@@ -164,6 +165,30 @@ def fragment_readback_data(
             )
         )
     return fragments
+
+
+def reassemble_readback(
+    frame_indices: Sequence[int], data: bytes, frame_bytes: int
+) -> List[ReadbackResponse]:
+    """Per-frame responses over one batch's joined fragment buffer.
+
+    The inverse of :func:`fragment_readback_data`: each response's
+    ``data`` is a zero-copy ``memoryview`` slice of ``data``, matched to
+    ``frame_indices`` by position — the verifier only reads the bytes.
+    """
+    if len(data) != len(frame_indices) * frame_bytes:
+        raise WireFormatError(
+            f"readback buffer of {len(data)} bytes does not hold "
+            f"{len(frame_indices)} frames of {frame_bytes} bytes"
+        )
+    view = memoryview(data)
+    return [
+        ReadbackResponse(
+            frame_index=frame_index,
+            data=view[slot * frame_bytes : (slot + 1) * frame_bytes],
+        )
+        for slot, frame_index in enumerate(frame_indices)
+    ]
 
 
 def contiguous_runs(indices: Sequence[int]) -> List[range]:

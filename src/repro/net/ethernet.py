@@ -20,6 +20,8 @@ HEADER_BYTES = 14  # dst(6) + src(6) + ethertype(2)
 FCS_BYTES = 4
 PREAMBLE_BYTES = 8  # preamble(7) + SFD(1)
 IFG_BYTES = 12  # inter-frame gap, counted in byte times
+#: Byte times every frame costs on the wire beyond its payload.
+FRAME_OVERHEAD_BYTES = PREAMBLE_BYTES + HEADER_BYTES + FCS_BYTES + IFG_BYTES
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,4 @@ class EthernetFrame:
 
     def wire_bytes(self) -> int:
         """Total byte times on the wire including preamble and IFG."""
-        return (
-            PREAMBLE_BYTES
-            + HEADER_BYTES
-            + len(self.padded_payload())
-            + FCS_BYTES
-            + IFG_BYTES
-        )
+        return FRAME_OVERHEAD_BYTES + len(self.padded_payload())

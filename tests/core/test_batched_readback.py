@@ -1,15 +1,14 @@
-"""Tests for the ranged (batched) readback extension."""
+"""Tests for batched readback (``ICAP_readback_batch``) in the in-memory run."""
 
 import pytest
 
 from repro.core.orders import PermutationOrder, SequentialOrder
-from repro.core.protocol import SessionOptions, _contiguous_batches, run_attestation
+from repro.core.protocol import SessionOptions, readback_schedule, run_attestation
 from repro.core.provisioning import provision_device
 from repro.core.verifier import SachaVerifier
-from repro.design.sacha_design import build_sacha_system
 from repro.errors import ProtocolError
 from repro.fpga.device import SIM_MEDIUM
-from repro.net.messages import IcapReadbackRangeCommand
+from repro.net.messages import IcapReadbackBatchCommand
 from repro.utils.rng import DeterministicRng
 
 
@@ -23,30 +22,6 @@ def stack(medium_system):
         order=SequentialOrder(),
     )
     return provisioned, verifier
-
-
-class TestContiguousBatches:
-    def test_fully_contiguous_plan(self):
-        batches = _contiguous_batches(list(range(10)), batch_frames=4)
-        assert batches == [(0, 4), (4, 4), (8, 2)]
-
-    def test_offset_plan_has_two_runs(self):
-        plan = [7, 8, 9, 0, 1, 2]
-        assert _contiguous_batches(plan, batch_frames=10) == [(7, 3), (0, 3)]
-
-    def test_non_contiguous_degenerates_to_singles(self):
-        assert _contiguous_batches([5, 3, 9], batch_frames=8) == [
-            (5, 1),
-            (3, 1),
-            (9, 1),
-        ]
-
-    def test_batch_of_one(self):
-        assert _contiguous_batches([0, 1, 2], batch_frames=1) == [
-            (0, 1),
-            (1, 1),
-            (2, 1),
-        ]
 
 
 class TestBatchedRuns:
@@ -118,8 +93,9 @@ class TestBatchedRuns:
         )
         assert batched.report.timing.total_ns < plain.report.timing.total_ns / 2
 
-    def test_permutation_order_degrades_gracefully(self, medium_system):
-        """A non-contiguous plan still works — batches collapse to ones."""
+    def test_permutation_order_stays_batched(self, medium_system):
+        """A non-contiguous plan batches like a sweep: the batch command
+        carries arbitrary indices, so batches do not collapse to ones."""
         provisioned, record = provision_device(medium_system, "prv-perm", seed=6600)
         verifier = SachaVerifier(
             record.system,
@@ -131,9 +107,32 @@ class TestBatchedRuns:
             provisioned.prover,
             verifier,
             DeterministicRng(5),
-            SessionOptions(readback_batch_frames=32),
+            SessionOptions(readback_batch_frames=32, record_trace=True),
         )
         assert result.report.accepted
+        assert result.report.trace.counts_by_kind()["ICAP_readback_batch"] == (
+            -(-SIM_MEDIUM.total_frames // 32)
+        )
+
+    def test_batch_capped_at_one_mtu_payload(self, stack):
+        _, verifier = stack
+        schedule = readback_schedule(verifier, list(range(1000)), batch_frames=1000)
+        assert [len(command.frame_indices) for command in schedule] == [
+            371,
+            371,
+            258,
+        ]
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_nonpositive_batch_rejected(self, stack, batch):
+        provisioned, verifier = stack
+        with pytest.raises(ProtocolError, match="batch must be >= 1"):
+            run_attestation(
+                provisioned.prover,
+                verifier,
+                DeterministicRng(7),
+                SessionOptions(readback_batch_frames=batch),
+            )
 
     def test_incompatible_with_prover_side_mask(self, stack):
         provisioned, verifier = stack
@@ -147,14 +146,21 @@ class TestBatchedRuns:
 
 
 class TestProverRangeHandling:
+    @staticmethod
+    def _batch_equals_singles(prover, plan):
+        fragments = prover.handle_command(IcapReadbackBatchCommand(0, tuple(plan)))
+        prover.abort_run()
+        singles = b"".join(prover.handle_readback(i) for i in plan)
+        prover.abort_run()
+        return b"".join(fragment.data for fragment in fragments) == singles
+
     def test_range_equals_individual_readbacks(self, stack):
         provisioned, _ = stack
-        prover = provisioned.prover
-        ranged = prover.handle_command(IcapReadbackRangeCommand(0, 3))
-        prover.abort_run()
-        singles = b"".join(prover.handle_readback(i) for i in range(3))
-        prover.abort_run()
-        assert ranged.data == singles
+        assert self._batch_equals_singles(provisioned.prover, [0, 1, 2])
+
+    def test_permutation_equals_individual_readbacks(self, stack):
+        provisioned, _ = stack
+        assert self._batch_equals_singles(provisioned.prover, [9, 2, 3, 4, 0, 17])
 
     def test_bad_count_rejected(self, stack):
         provisioned, _ = stack

@@ -291,6 +291,51 @@ class TestPipelinedTransport:
         assert session.unexpected_frames == before + 1
         assert session._tag is None
 
+    def test_partial_frame_fragment_is_ignored(self):
+        """A fragment whose data does not hold ``frame_count`` whole
+        frames would misalign the sweep; it never enters it."""
+        from repro.net.messages import ReadbackBatchResponse
+
+        session, _ = _reliable_session(8, 256)
+        session._phase = session._phase.__class__.READBACK
+        session._plan = [0, 1, 2, 3]
+        session._rx_slot = 0
+        frame_bytes = session._verifier.system.device.frame_bytes
+        short = ReadbackBatchResponse(
+            base_slot=0, frame_count=2, data=bytes(frame_bytes)
+        )
+        session._on_verifier_delivery_pipelined(
+            EthernetFrame(
+                destination=session.verifier_endpoint.mac,
+                source=session.prover_endpoint.mac,
+                ethertype=0x88B5,
+                payload=short.encode(),
+            )
+        )
+        assert session.unexpected_frames == 1
+        assert session._rx_slot == 0
+
+    def test_lockstep_unexpected_kind_is_counted(self):
+        """A ConfigAck means nothing to the lockstep loop: the attribute
+        and the exported counter both record it."""
+        from repro.net.messages import ConfigAck
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        session, _ = _session()
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            session._on_verifier_delivery(
+                EthernetFrame(
+                    destination=session.verifier_endpoint.mac,
+                    source=session.prover_endpoint.mac,
+                    ethertype=0x88B5,
+                    payload=ConfigAck(frames_applied=3).encode(),
+                )
+            )
+        counter = registry.get("sacha_session_unexpected_frames_total")
+        assert session.unexpected_frames == 1
+        assert counter.value(side="verifier") == session.unexpected_frames
+
 
 class TestFaultCompatibility:
     """Duplication/reorder faults on a raw channel would desynchronize

@@ -73,10 +73,13 @@ class TestMalformedInput:
             decode_command(b"")
 
     def test_unknown_opcode(self):
-        with pytest.raises(WireFormatError):
-            decode_command(b"\x7f")
-        with pytest.raises(WireFormatError):
-            decode_response(b"\x01")
+        # 0x05 / 0x84 were the retired ranged-readback pair.
+        for data in (b"\x7f", b"\x05\x00\x00\x00\x00\x00\x01"):
+            with pytest.raises(WireFormatError):
+                decode_command(data)
+        for data in (b"\x01", b"\x84\x00\x00\x00\x00\x00\x00\x00\x00"):
+            with pytest.raises(WireFormatError):
+                decode_response(data)
 
     def test_truncated_config(self):
         full = IcapConfigCommand(1, b"abcd").encode()

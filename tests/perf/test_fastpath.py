@@ -6,6 +6,7 @@ import pytest
 from repro.core.protocol import SessionOptions, run_attestation
 from repro.core.provisioning import provision_device
 from repro.core.verifier import SachaVerifier
+from repro.crypto.cmac import AesCmac
 from repro.design.sacha_design import build_sacha_system
 from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.device import SIM_SMALL
@@ -84,29 +85,44 @@ class TestMaskSweep:
 
 
 class TestEvaluateEquivalence:
+    """The vectorized verifier agrees with a per-frame oracle built from
+    ``MaskFile.apply_to_frame`` inside the test."""
+
     @pytest.mark.parametrize("tamper", [False, True])
     def test_vectorized_verdict_matches_scalar(self, tamper):
-        reports = {}
-        for fastpath in (True, False):
-            with configured(frame_fastpath=fastpath, aes_backend="reference"):
-                system = build_sacha_system(SIM_SMALL)
-                provisioned, record = provision_device(
-                    system, "fastpath-eq", seed=606
+        with configured(aes_backend="reference"):
+            system = build_sacha_system(SIM_SMALL)
+            provisioned, record = provision_device(system, "fastpath-eq", seed=606)
+            if tamper:
+                frame = system.partition.static_frame_list()[0]
+                provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
+            verifier = SachaVerifier(
+                record.system, record.mac_key, DeterministicRng(607)
+            )
+            result = run_attestation(
+                provisioned.prover, verifier, DeterministicRng(608), SessionOptions()
+            )
+            golden = system.golden_memory(result.nonce)
+            mask = system.combined_mask()
+            scalar = sorted(
+                {
+                    response.frame_index
+                    for response in result.responses
+                    if mask.apply_to_frame(
+                        response.frame_index, golden.read_frame(response.frame_index)
+                    )
+                    != mask.apply_to_frame(response.frame_index, response.data)
+                }
+            )
+            masked_mac = AesCmac(record.mac_key.reveal())
+            for frame_index in result.plan:
+                masked_mac.update(
+                    mask.apply_to_frame(frame_index, golden.read_frame(frame_index))
                 )
-                if tamper:
-                    frame = system.partition.static_frame_list()[0]
-                    provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
-                verifier = SachaVerifier(
-                    record.system, record.mac_key, DeterministicRng(607)
-                )
-                result = run_attestation(
-                    provisioned.prover,
-                    verifier,
-                    DeterministicRng(608),
-                    SessionOptions(),
-                )
-                reports[fastpath] = result.report
-        fast, scalar = reports[True], reports[False]
-        assert fast.accepted == scalar.accepted == (not tamper)
-        assert fast.mac_valid == scalar.mac_valid
-        assert fast.mismatched_frames == scalar.mismatched_frames
+            assert verifier.expected_masked_mac(
+                result.nonce, result.plan
+            ) == masked_mac.finalize()
+        assert result.report.accepted == (not tamper)
+        assert result.report.mac_valid
+        assert result.report.mismatched_frames == scalar
+        assert bool(scalar) == tamper
