@@ -9,33 +9,39 @@ verifier is a state machine driven by deliveries.  Adversary taps on the
 channel see (and may rewrite) every frame — this is the path the
 man-in-the-middle attacks use.
 
-Two transport shapes exist:
+One driver runs the command schedule of Figure 9 — configure, read back
+every frame in the verifier's plan order, exchange the checksum — and
+the readback batch size is its only shape decision:
 
-* the **legacy lockstep** loop (``readback_batch_frames <= 1``): one
-  readback command per response round trip, preserved byte-identically
-  so seeded determinism tests pin it;
-* the **pipelined** path (the default): configuration and readback
-  commands are batched to the MTU (``repro.net.batch``) and all streamed
-  ahead of the responses, the sliding-window ARQ keeps several payloads
-  in flight, each config batch is confirmed by one cumulative
-  :class:`~repro.net.messages.ConfigAck`, and the verifier folds the
-  expected MAC incrementally as response fragments arrive.  The readback
-  sweep is order-insensitive on the verifier side (Section 6.1), which
-  is what makes pipelining safe: the plan-ordered fragment cursor keeps
-  the MAC stream aligned.
+* **batch 1**: every ``ICAP_config`` goes out in its own send, then one
+  ``ICAP_readback`` is outstanding at a time; the next leaves when its
+  response is accepted and the checksum command follows the last;
+* **batch above 1** (the default): configuration and readback commands
+  are batched to the MTU (``repro.net.batch``) and the whole schedule
+  leaves in one burst ahead of the responses, the sliding-window ARQ
+  keeps several payloads in flight, and each config batch is confirmed
+  by one cumulative :class:`~repro.net.messages.ConfigAck`.
 
-Pipelining needs in-order delivery, not reliability: the raw channel
+Either way the verifier has one receive path: a per-frame
+:class:`~repro.net.messages.ReadbackResponse` is a one-frame fragment,
+every fragment must be the next contiguous whole-frame slice of the
+plan, the accepted bytes fill one buffer and fold into one incremental
+H_Vrf, and :func:`~repro.net.batch.reassemble_readback` turns the buffer
+into the per-frame responses the verdict compares.
+
+Streaming needs in-order delivery, not reliability: the raw channel
 delivers each frame after its own serialization delay, so a burst of
 mixed-size frames arrives out of order (a small checksum command
 overtakes a large readback batch).  Over ARQ (``reliable=True``) the
-sliding window restores order; on a raw channel the session interposes
+sliding window restores order.  On a raw channel the session interposes
 a :class:`~repro.net.resequencer.ResequencerLink` — a bounded
-reorder/dedup buffer with no retransmission — so ``reliable=False``
-runs pipeline too, and duplication/reordering fault profiles are safe
-on raw channels (a lost frame leaves a permanent gap that drains the
-simulation and fails the attempt toward ``inconclusive``).  A raw
-lockstep session on a dup/reorder-free channel keeps the original
-headerless wire format byte-identically.
+reorder/dedup buffer with no retransmission — whenever the batch is
+above 1 or the channel can drop, corrupt, duplicate or reorder a frame.
+A lost frame then leaves a permanent gap that drains the simulation and
+fails the attempt toward ``inconclusive``; without the buffer a lost
+``ICAP_config`` would go unnoticed and the readback of the misconfigured
+frame would end in a false reject.  A raw batch-1 session on a
+fault-free channel keeps the original headerless wire format.
 
 The session degrades gracefully instead of raising out of the event
 loop.  Undecodable frames (bit corruption or truncation from the fault
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, cast
 
 from repro.errors import NetworkError, ProtocolError
@@ -141,11 +148,9 @@ class NetworkAttestationSession:
         verifier: SachaVerifier,
         rng: Optional[DeterministicRng] = None,
         reliable: bool = False,
-        arq_timeout_ns: float = 2_000_000.0,
         arq_tuning: Optional[ArqTuning] = None,
         arq_max_retries: int = 25,
         max_attempts: int = 1,
-        arq_window: Optional[int] = None,
         readback_batch_frames: Optional[int] = None,
         prover_registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -160,8 +165,6 @@ class NetworkAttestationSession:
         self._frame_bytes = verifier.system.device.frame_bytes
         self._rng = rng or DeterministicRng(0)
         self._reliable = reliable
-        self._arq_timeout_ns = arq_timeout_ns
-        self._arq_tuning = arq_tuning
         self._arq_max_retries = arq_max_retries
         self._max_attempts = max_attempts
         # Optional separate registry for prover-side telemetry.  With the
@@ -170,29 +173,13 @@ class NetworkAttestationSession:
         # dumps the trace stitcher is built for.  None -> the active one.
         self._prover_registry = prover_registry
         config = get_config()
-        # Explicit, validated window precedence: ``arq_tuning`` is the
-        # single source of truth when given; a redundant ``arq_window``
-        # must agree with it (no silent override), and with no tuning the
-        # explicit window falls back to the perf config.
-        if arq_window is not None:
-            if arq_window < 1:
-                raise ProtocolError(f"ARQ window must be >= 1, got {arq_window}")
-            if arq_tuning is not None and arq_tuning.window != arq_window:
-                raise ProtocolError(
-                    f"conflicting ARQ windows: arq_tuning.window="
-                    f"{arq_tuning.window} but arq_window={arq_window}; "
-                    "set the window on the tuning (or pass only one)"
-                )
-            self._arq_window = arq_window
-        elif arq_tuning is not None:
-            self._arq_window = arq_tuning.window
-        else:
-            self._arq_window = config.arq_window
-        # AIMD adaptation follows the tuning when one is given, the perf
-        # config otherwise (REPRO_ARQ_ADAPTIVE / --arq-adaptive).
-        self._arq_adaptive = (
-            arq_tuning.adaptive if arq_tuning is not None else config.arq_adaptive
-        )
+        # Without a tuning the perf config supplies the window and the AIMD
+        # switch (REPRO_ARQ_WINDOW / REPRO_ARQ_ADAPTIVE and their flags).
+        if arq_tuning is None:
+            arq_tuning = ArqTuning(
+                window=config.arq_window, adaptive=config.arq_adaptive
+            )
+        self._arq_tuning = arq_tuning
         if readback_batch_frames is not None:
             if readback_batch_frames < 1:
                 raise ProtocolError(
@@ -212,10 +199,8 @@ class NetworkAttestationSession:
         self._phase = _Phase.IDLE
         self._nonce = b""
         self._plan: List[int] = []
-        self._readbacks: Iterator[Command] = iter(())
-        self._plan_cursor = 0
+        self._schedule: Iterator[Command] = iter(())
         self._config_steps = 0
-        self._responses: List[ReadbackResponse] = []
         self._tag: Optional[bytes] = None
         self._expected_tag: Optional[bytes] = None
         self._rx_buffers: List[bytes] = []
@@ -249,43 +234,24 @@ class NetworkAttestationSession:
 
     @property
     def _resequenced(self) -> bool:
-        """Whether raw channels get the reorder/dedup buffer.
+        """Whether a raw channel gets the reorder/dedup buffer.
 
-        A raw pipelined burst needs in-order delivery, and a raw channel
-        under duplication/reordering faults needs exactly-once delivery —
-        both are the resequencer's job (a duplicated or reordered
-        readback would otherwise desynchronize the incremental MAC into
-        a false reject).  A raw *lockstep* session on a dup/reorder-free
-        channel keeps the original headerless wire format, which the
-        seeded determinism fingerprints pin.
+        A raw batched burst needs in-order delivery.  A raw channel that
+        can lose, corrupt, duplicate or reorder frames needs exactly-once
+        delivery with gap detection: a duplicated or reordered readback
+        would desynchronize the incremental MAC, and a lost configuration
+        frame would misconfigure the device — both false rejects, where
+        the buffer's permanent gap fails the attempt toward inconclusive
+        instead.  A raw batch-1 session on a fault-free channel keeps the
+        original headerless wire format.
         """
         if self._reliable:
             return False
-        if self._batch_frames > 1:
-            return True
         model = self._channel.fault_model
-        if model is None:
-            return False
-        profile = model.profile
         return (
-            profile.duplication_probability > 0
-            or profile.reorder_probability > 0
-        )
-
-    @property
-    def _pipelined(self) -> bool:
-        """Batching streams safely over any in-order transport: the ARQ
-        sliding window, or the resequencer above a raw channel."""
-        return self._batch_frames > 1 and (self._reliable or self._resequenced)
-
-    def _effective_tuning(self) -> ArqTuning:
-        if self._arq_tuning is not None:
-            return self._arq_tuning
-        return ArqTuning(
-            initial_timeout_ns=self._arq_timeout_ns,
-            min_timeout_ns=min(self._arq_timeout_ns, ArqTuning.min_timeout_ns),
-            window=self._arq_window,
-            adaptive=self._arq_adaptive,
+            self._batch_frames > 1
+            or self._channel.loss_probability > 0
+            or (model is not None and model.profile.is_active)
         )
 
     def _install_ports(self) -> None:
@@ -300,14 +266,12 @@ class NetworkAttestationSession:
         if self._reliable:
             from repro.net.arq import ArqLink
 
-            tuning = self._effective_tuning()
             self._verifier_port = ArqLink(
                 self._simulator,
                 self.verifier_endpoint,
                 PROVER_MAC,
-                self._arq_timeout_ns,
-                self._arq_max_retries,
-                tuning=tuning,
+                max_retries=self._arq_max_retries,
+                tuning=self._arq_tuning,
                 rng=self._rng.fork("arq-vrf"),
                 on_give_up=self._on_link_failure,
             )
@@ -315,9 +279,8 @@ class NetworkAttestationSession:
                 self._simulator,
                 self.prover_endpoint,
                 VERIFIER_MAC,
-                self._arq_timeout_ns,
-                self._arq_max_retries,
-                tuning=tuning,
+                max_retries=self._arq_max_retries,
+                tuning=self._arq_tuning,
                 rng=self._rng.fork("arq-prv"),
                 on_give_up=self._on_link_failure,
             )
@@ -333,10 +296,7 @@ class NetworkAttestationSession:
         else:
             self._verifier_port = self.verifier_endpoint
             self._prover_port = self.prover_endpoint
-        if self._pipelined:
-            self._verifier_port.handler = self._on_verifier_delivery_pipelined
-        else:
-            self._verifier_port.handler = self._on_verifier_delivery
+        self._verifier_port.handler = self._on_verifier_delivery
         self._prover_port.handler = self._on_prover_delivery
 
     def _on_link_failure(self, error: NetworkError) -> None:
@@ -364,7 +324,7 @@ class NetworkAttestationSession:
 
     def _ignore_unexpected(self) -> None:
         """Count a response the verifier ignored: out of phase, a
-        duplicate, or a kind this transport shape never expects."""
+        duplicate, off the plan cursor, or a kind it never expects."""
         self.unexpected_frames += 1
         self._count(
             "sacha_session_unexpected_frames_total",
@@ -429,10 +389,13 @@ class NetworkAttestationSession:
             report = AttestationReport.make_inconclusive(failure, self._nonce)
             report.config_steps = self._config_steps
         else:
+            responses = reassemble_readback(
+                self._plan, b"".join(self._rx_buffers), self._frame_bytes
+            )
             report = self._verifier.evaluate(
                 self._nonce,
                 self._plan,
-                self._responses,
+                responses,
                 self._tag or b"",
                 expected_tag=self._expected_tag,
             )
@@ -456,13 +419,10 @@ class NetworkAttestationSession:
         # Fresh per-attempt state: nonce, plan, responses, MAC, transport.
         self._link_failure = None
         self._prover_trace_id = None
-        self._responses = []
-        self._plan_cursor = 0
         self._tag = None
         self._expected_tag = None
         self._rx_buffers = []
         self._rx_slot = 0
-        self._mac_stream = None
         self._mac_pending = []
         self._mac_pending_bytes = 0
         self._config_acked = 0
@@ -473,12 +433,7 @@ class NetworkAttestationSession:
         with use_context_registry(self._prover_registry or get_registry()):
             self._prover.abort_run()
         self._install_ports()
-        self._phase = _Phase.CONFIG
-
-        if self._pipelined:
-            self._run_attempt_pipelined()
-        else:
-            self._run_attempt_lockstep()
+        self._send_schedule()
 
         self._simulator.run()
         self._harvest_retransmissions()
@@ -495,7 +450,7 @@ class NetworkAttestationSession:
                 detail="simulation drained before the checksum exchange; "
                 "a message was lost",
             )
-        if self._pipelined and self._config_acked < self._config_steps:
+        if self._batch_frames > 1 and self._config_acked < self._config_steps:
             # The tag arrived but the cumulative ConfigAcks do not cover
             # the configuration: on a transport without retransmission a
             # config frame may be gone, and a MAC over a misconfigured
@@ -506,62 +461,50 @@ class NetworkAttestationSession:
                 detail=f"cumulative ConfigAcks cover {self._config_acked} of "
                 f"{self._config_steps} configuration frames",
             )
-        if self._pipelined:
-            self._finish_pipelined()
+        if self._mac_stream is not None:
+            self._fold_pending()
+            self._expected_tag = self._mac_stream.finalize()
         return None
 
-    def _run_attempt_lockstep(self) -> None:
-        """The legacy per-frame loop: one readback in flight at a time.
+    def _send_schedule(self) -> None:
+        """Send the attempt's command schedule, shaped by the batch size.
 
-        Byte- and telemetry-identical to the original stop-and-wait
-        session; seeded determinism fingerprints pin it.
-        """
-        self._send_trace_hello()
-        # Fire-and-forget configuration commands; in-order delivery on the
-        # point-to-point channel guarantees they are applied before the
-        # readbacks that follow.
-        commands = self._verifier.config_commands(self._nonce)
-        self._config_steps = len(commands)
-        for command in commands:
-            self._send_to_prover(command.encode())
-
-        self._plan = self._verifier.readback_plan()
-        self._readbacks = readback_schedule(self._verifier, self._plan)
-        self._phase = _Phase.READBACK
-        self._send_next_readback()
-
-    def _run_attempt_pipelined(self) -> None:
-        """Stream every command up front; responses fold as they arrive.
-
-        In-order delivery (ARQ, or the lossless point-to-point channel)
-        guarantees the prover sees config → readbacks → checksum in
-        order, so the whole command schedule can be enqueued before the
-        first response returns — the sliding window keeps the pipe full.
+        At batch 1 each configuration command goes out in its own send
+        and the readbacks drip one per accepted response (see
+        :meth:`_accept_fragment`).  Above 1 the whole schedule — the
+        telemetry hello, config batches, readback batches, checksum —
+        leaves in one burst: the ARQ layer sees the burst's tail, so a
+        window's worth of commands costs one cumulative ACK, and in-order
+        delivery (ARQ or the resequencer) keeps the prover's view ordered.
         """
         self._mac_stream = self._verifier.mac_stream()
         registry = get_registry()
+        hello = []
+        if registry.enabled and self._trace_id:
+            hello.append(TraceHelloCommand(bytes.fromhex(self._trace_id)).encode())
         config_commands = self._verifier.config_commands(self._nonce)
         self._config_steps = len(config_commands)
-        config_batches = pack_config_commands(config_commands)
         self._plan = self._verifier.readback_plan()
+        readbacks = readback_schedule(self._verifier, self._plan, self._batch_frames)
         self._phase = _Phase.READBACK
-        # Pipelining implies a batch above 1: every command is a batch.
-        readback_batches = cast(
-            List[IcapReadbackBatchCommand],
-            list(readback_schedule(self._verifier, self._plan, self._batch_frames)),
+        if self._batch_frames == 1:
+            self._schedule = chain(readbacks, [MacChecksumCommand()])
+            if hello:
+                self._send_to_prover(*hello)
+            for command in config_commands:
+                self._send_to_prover(command.encode())
+            self._send_to_prover(next(self._schedule).encode())
+            return
+
+        config_batches = pack_config_commands(config_commands)
+        # Above batch 1 every readback command is a batch.
+        readback_batches = cast(List[IcapReadbackBatchCommand], list(readbacks))
+        self._send_to_prover(
+            *hello,
+            *(batch.encode() for batch in config_batches),
+            *(batch.encode() for batch in readback_batches),
+            MacChecksumCommand().encode(),
         )
-        # One burst carries the whole command schedule: (telemetry hello,)
-        # config, readbacks, checksum.  The ARQ layer sees the burst's
-        # tail, so a window's worth of commands costs one cumulative ACK.
-        payloads = []
-        if registry.enabled and self._trace_id:
-            payloads.append(
-                TraceHelloCommand(bytes.fromhex(self._trace_id)).encode()
-            )
-        payloads.extend(batch.encode() for batch in config_batches)
-        payloads.extend(batch.encode() for batch in readback_batches)
-        payloads.append(MacChecksumCommand().encode())
-        self._send_to_prover(*payloads)
         if registry.enabled:
             counter = registry.counter(
                 "sacha_net_batch_frames_total",
@@ -580,29 +523,9 @@ class NetworkAttestationSession:
                 float(max((len(b.frame_indices) for b in readback_batches), default=0))
             )
 
-    def _finish_pipelined(self) -> None:
-        """Materialize per-frame responses from the reassembled sweep."""
-        self._responses = reassemble_readback(
-            self._plan, b"".join(self._rx_buffers), self._frame_bytes
-        )
-        if self._mac_stream is not None:
-            if self._mac_pending:
-                self._mac_stream.update(b"".join(self._mac_pending))
-                self._mac_pending = []
-                self._mac_pending_bytes = 0
-            self._expected_tag = self._mac_stream.finalize()
-
     def _harvest_retransmissions(self) -> None:
         for port in (self._verifier_port, self._prover_port):
             self.total_retransmissions += getattr(port, "retransmissions", 0)
-
-    def _send_next_readback(self) -> None:
-        command = next(self._readbacks, None)
-        if command is not None:
-            self._send_to_prover(command.encode())
-        else:
-            self._phase = _Phase.CHECKSUM
-            self._send_to_prover(MacChecksumCommand().encode())
 
     def _on_verifier_delivery(self, frame: EthernetFrame) -> None:
         try:
@@ -612,63 +535,63 @@ class NetworkAttestationSession:
             # let the drained-simulation path fail the attempt.
             self._drop_undecodable("verifier")
             return
-        if isinstance(response, ReadbackResponse):
-            if (
-                self._phase is not _Phase.READBACK
-                or self._plan_cursor >= len(self._plan)
-                or response.frame_index != self._plan[self._plan_cursor]
-            ):
-                # A duplicate or reordered copy; the expected-index check
-                # keeps the MAC stream aligned with the plan.
-                self._ignore_unexpected()
-                return
-            self._responses.append(response)
-            self._plan_cursor += 1
-            self._send_next_readback()
-            return
-        self._take_tag_or_ignore(response)
-
-    def _on_verifier_delivery_pipelined(self, frame: EthernetFrame) -> None:
-        try:
-            response = decode_response(frame.payload)
-        except NetworkError:
-            self._drop_undecodable("verifier")
-            return
         if isinstance(response, ConfigAck):
             # Cumulative, like the ARQ's ACKs: the high-water mark is the
             # number of configuration frames the prover has applied.
             self._config_acked = max(self._config_acked, response.frames_applied)
+        elif isinstance(response, ReadbackBatchResponse):
+            self._accept_fragment(
+                response.base_slot, response.frame_count, response.data
+            )
+        elif isinstance(response, ReadbackResponse):
+            # A per-frame response is a one-frame fragment at the plan
+            # cursor, provided it echoes the frame the plan expects there.
+            on_plan = (
+                self._rx_slot < len(self._plan)
+                and response.frame_index == self._plan[self._rx_slot]
+            )
+            self._accept_fragment(self._rx_slot if on_plan else -1, 1, response.data)
+        else:
+            self._take_tag_or_ignore(response)
+
+    def _accept_fragment(self, base_slot: int, frame_count: int, data: bytes) -> None:
+        """Append the next contiguous, whole-frame slice of the sweep.
+
+        The plan-position cursor rejects anything else — a duplicate, a
+        reordered or out-of-phase copy, a partial frame — keeping the
+        buffer and the MAC stream aligned with the plan.
+        """
+        if (
+            self._phase is not _Phase.READBACK
+            or base_slot != self._rx_slot
+            or frame_count < 1
+            or self._rx_slot + frame_count > len(self._plan)
+            or len(data) != frame_count * self._frame_bytes
+        ):
+            self._ignore_unexpected()
             return
-        if isinstance(response, ReadbackBatchResponse):
-            if (
-                self._phase is not _Phase.READBACK
-                or response.base_slot != self._rx_slot
-                or response.frame_count < 1
-                or self._rx_slot + response.frame_count > len(self._plan)
-                or len(response.data) != response.frame_count * self._frame_bytes
-            ):
-                # The plan-position cursor rejects anything but the next
-                # contiguous, whole-frame fragment, keeping the MAC stream
-                # aligned with the plan.
-                self._ignore_unexpected()
-                return
-            self._rx_buffers.append(response.data)
-            self._rx_slot += response.frame_count
-            if self._mac_stream is not None:
-                # Fold in coarse chunks: CMAC is chunking-invariant, and
-                # each backend fold call has fixed setup cost, so folding
-                # per ~MiB instead of per fragment keeps the stream
-                # incremental (bounded memory) at a fraction of the calls.
-                self._mac_pending.append(response.data)
-                self._mac_pending_bytes += len(response.data)
-                if self._mac_pending_bytes >= self._MAC_FOLD_CHUNK_BYTES:
-                    self._mac_stream.update(b"".join(self._mac_pending))
-                    self._mac_pending = []
-                    self._mac_pending_bytes = 0
-            if self._rx_slot == len(self._plan):
-                self._phase = _Phase.CHECKSUM
-            return
-        self._take_tag_or_ignore(response)
+        self._rx_buffers.append(data)
+        self._rx_slot += frame_count
+        if self._mac_stream is not None:
+            # Fold in coarse chunks: CMAC is chunking-invariant, and each
+            # backend fold call has fixed setup cost, so folding per ~MiB
+            # instead of per fragment keeps the stream incremental
+            # (bounded memory) at a fraction of the calls.
+            self._mac_pending.append(data)
+            self._mac_pending_bytes += len(data)
+            if self._mac_pending_bytes >= self._MAC_FOLD_CHUNK_BYTES:
+                self._fold_pending()
+        if self._rx_slot == len(self._plan):
+            self._phase = _Phase.CHECKSUM
+        if self._batch_frames == 1:
+            # Lockstep: the next readback (or the checksum) leaves now.
+            self._send_to_prover(next(self._schedule).encode())
+
+    def _fold_pending(self) -> None:
+        if self._mac_pending and self._mac_stream is not None:
+            self._mac_stream.update(b"".join(self._mac_pending))
+            self._mac_pending = []
+            self._mac_pending_bytes = 0
 
     def _take_tag_or_ignore(self, response: Response) -> None:
         """Take the MAC tag, or count the response as unexpected.
@@ -685,17 +608,6 @@ class NetworkAttestationSession:
             self._end_ns = self._simulator.now_ns
         else:
             self._ignore_unexpected()
-
-    def _send_trace_hello(self) -> None:
-        """Announce the attempt's trace id — only when telemetry is on.
-
-        The disabled path sends nothing, keeping its wire sequence
-        byte-identical to the pre-telemetry protocol.
-        """
-        if get_registry().enabled and self._trace_id:
-            self._send_to_prover(
-                TraceHelloCommand(bytes.fromhex(self._trace_id)).encode()
-            )
 
     def _send(
         self,
@@ -780,22 +692,17 @@ class NetworkAttestationSession:
                 self._handle_prover_command(command)
 
     def _handle_prover_command(self, command: Command) -> None:
-        app_frames = self._verifier.system.app_impl.region_frames
-        if isinstance(command, IcapConfigCommand):
-            self._prover.handle_command(command)
-            if command.frame_index == app_frames[-1]:
-                self._scramble_after_app_config()
-            return
-        if isinstance(command, IcapConfigBatchCommand):
-            self._prover.handle_command(command)
+        result = self._prover.handle_command(command)
+        if isinstance(command, (IcapConfigCommand, IcapConfigBatchCommand)):
+            app_frames = self._verifier.system.app_impl.region_frames
             if app_frames and app_frames[-1] in command.frame_indices:
                 self._scramble_after_app_config()
-            # One cumulative ack per batch: the return path costs one
-            # frame per batch instead of one per configured frame.
-            self._prover_configs_applied += len(command.frame_indices)
-            self._send_config_ack()
+            if isinstance(command, IcapConfigBatchCommand):
+                # One cumulative ack per batch: the return path costs one
+                # frame per batch instead of one per configured frame.
+                self._prover_configs_applied += len(command.frame_indices)
+                self._send_config_ack()
             return
-        result = self._prover.handle_command(command)
         if result is None:
             return
         replies = result if isinstance(result, list) else [result]

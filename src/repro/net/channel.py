@@ -131,6 +131,11 @@ class Channel:
     def fault_model(self) -> Optional[FaultModel]:
         return self._fault_model
 
+    @property
+    def loss_probability(self) -> float:
+        """The channel's own independent per-frame loss probability."""
+        return self._loss_probability
+
     def connect(self, left: Endpoint, right: Endpoint) -> None:
         if self._endpoints:
             raise NetworkError("channel already has endpoints")

@@ -115,6 +115,11 @@ class IcapConfigCommand:
     frame_index: int
     data: bytes
 
+    @property
+    def frame_indices(self) -> Tuple[int, ...]:
+        """The configured frames, shaped like the batch command's."""
+        return (self.frame_index,)
+
     def encode(self) -> bytes:
         if self.frame_index < 0 or self.frame_index > 0xFFFFFFFF:
             raise WireFormatError(f"frame index {self.frame_index} out of range")

@@ -72,8 +72,12 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Map a requested backend (or ``None``/``auto``) to a concrete one."""
-    if name is None or name == "auto":
+    """Map a requested backend to a concrete one.
+
+    ``None`` follows the process config; ``auto`` (asked for explicitly
+    or configured) picks by availability: native, else table.
+    """
+    if name is None:
         from repro.perf.config import get_config
 
         name = get_config().aes_backend

@@ -6,8 +6,9 @@ from repro.core.net_session import NetworkAttestationSession
 from repro.core.provisioning import provision_device
 from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError
 from repro.fpga.device import SIM_SMALL
+from repro.net.arq import ArqTuning
 from repro.net.channel import Channel, LatencyModel
 from repro.net.ethernet import EthernetFrame
 from repro.sim.events import Simulator
@@ -103,7 +104,7 @@ class TestReliableSession:
         reliable = NetworkAttestationSession(
             simulator, channel, provisioned.prover, verifier,
             DeterministicRng(52), reliable=True,
-            arq_window=1, readback_batch_frames=1,
+            arq_tuning=ArqTuning(window=1), readback_batch_frames=1,
         ).run()
         assert reliable.report.accepted == baseline.report.accepted is True
         # Reliable mode roughly doubles frame counts (one ACK per DATA).
@@ -182,7 +183,7 @@ def _reliable_session(
         DeterministicRng(seed + 2),
         reliable=reliable,
         max_attempts=max_attempts,
-        arq_window=window,
+        arq_tuning=ArqTuning(window=window),
         readback_batch_frames=batch,
     )
     return session, channel
@@ -222,7 +223,6 @@ class TestPipelinedTransport:
         from repro.net.resequencer import ResequencerLink
 
         session, _ = _reliable_session(8, 256, reliable=False)
-        assert session._pipelined
         assert session._resequenced
         result = session.run()
         assert result.report.accepted
@@ -259,7 +259,7 @@ class TestPipelinedTransport:
         rogue = ReadbackBatchResponse(
             base_slot=5, frame_count=1, data=bytes(frame_bytes)
         )
-        session._on_verifier_delivery_pipelined(
+        session._on_verifier_delivery(
             EthernetFrame(
                 destination=session.verifier_endpoint.mac,
                 source=session.prover_endpoint.mac,
@@ -280,7 +280,7 @@ class TestPipelinedTransport:
         session._plan = [0, 1, 2, 3]
         session._rx_slot = 0
         before = session.unexpected_frames
-        session._on_verifier_delivery_pipelined(
+        session._on_verifier_delivery(
             EthernetFrame(
                 destination=session.verifier_endpoint.mac,
                 source=session.prover_endpoint.mac,
@@ -304,7 +304,7 @@ class TestPipelinedTransport:
         short = ReadbackBatchResponse(
             base_slot=0, frame_count=2, data=bytes(frame_bytes)
         )
-        session._on_verifier_delivery_pipelined(
+        session._on_verifier_delivery(
             EthernetFrame(
                 destination=session.verifier_endpoint.mac,
                 source=session.prover_endpoint.mac,
@@ -315,10 +315,33 @@ class TestPipelinedTransport:
         assert session.unexpected_frames == 1
         assert session._rx_slot == 0
 
+    def test_short_per_frame_response_is_ignored(self):
+        """A per-frame response is a one-frame fragment: data that is not
+        exactly one frame long never enters the sweep."""
+        from repro.net.messages import ReadbackResponse
+
+        session, _ = _session()
+        session._phase = session._phase.__class__.READBACK
+        session._plan = [0, 1, 2, 3]
+        session._rx_slot = 0
+        frame_bytes = session._verifier.system.device.frame_bytes
+        short = ReadbackResponse(frame_index=0, data=bytes(frame_bytes - 1))
+        session._on_verifier_delivery(
+            EthernetFrame(
+                destination=session.verifier_endpoint.mac,
+                source=session.prover_endpoint.mac,
+                ethertype=0x88B5,
+                payload=short.encode(),
+            )
+        )
+        assert session.unexpected_frames == 1
+        assert session._rx_slot == 0
+        assert session._rx_buffers == []
+
     def test_lockstep_unexpected_kind_is_counted(self):
-        """A ConfigAck means nothing to the lockstep loop: the attribute
-        and the exported counter both record it."""
-        from repro.net.messages import ConfigAck
+        """A masked-readback ack means nothing to the session: the
+        attribute and the exported counter both record it."""
+        from repro.net.messages import MaskedReadbackAck
         from repro.obs.metrics import MetricsRegistry, use_registry
 
         session, _ = _session()
@@ -329,7 +352,7 @@ class TestPipelinedTransport:
                     destination=session.verifier_endpoint.mac,
                     source=session.prover_endpoint.mac,
                     ethertype=0x88B5,
-                    payload=ConfigAck(frames_applied=3).encode(),
+                    payload=MaskedReadbackAck(frame_index=3).encode(),
                 )
             )
         counter = registry.get("sacha_session_unexpected_frames_total")
@@ -353,7 +376,7 @@ class TestFaultCompatibility:
         )
         return simulator, channel
 
-    def _build(self, simulator, channel, reliable):
+    def _build(self, simulator, channel, reliable, batch=None):
         from repro.core.provisioning import provision_device
 
         system = build_sacha_system(SIM_SMALL)
@@ -368,6 +391,7 @@ class TestFaultCompatibility:
             verifier,
             DeterministicRng(63),
             reliable=reliable,
+            readback_batch_frames=batch,
         )
 
     def test_duplication_on_raw_channel_resequenced(self):
@@ -406,18 +430,66 @@ class TestFaultCompatibility:
     def test_loss_alone_allowed_raw(self):
         """Loss fails towards inconclusive, never a wrong verdict, so it
         stays legal on the raw transport."""
+        from repro.core.report import Verdict
         from repro.net.faults import FaultProfile
 
-        simulator, channel = self._channel_with(
-            FaultProfile(loss_probability=0.01)
+        for batch in (1, 256):
+            simulator, channel = self._channel_with(
+                FaultProfile(loss_probability=0.01)
+            )
+            session = self._build(simulator, channel, reliable=False, batch=batch)
+            assert session._resequenced
+            assert session.run().report.verdict is not Verdict.REJECT
+
+    def test_lossy_raw_lockstep_never_rejects_honest(self):
+        """A lost ``ICAP_config`` on a raw batch-1 channel must not go
+        unnoticed: the misconfigured frame would read back as a false
+        reject, and a retry could re-declare the application's
+        registers.  The resequencer turns every loss into a gap that
+        fails the attempt toward inconclusive."""
+        from repro.core.report import Verdict
+        from repro.net.faults import FaultModel, FaultProfile
+
+        system = build_sacha_system(SIM_SMALL)
+        verdicts = set()
+        for seed in range(60):
+            provisioned, record = provision_device(system, f"prv-{seed}", seed=seed)
+            simulator = Simulator()
+            rng = DeterministicRng(seed + 3)
+            model = FaultModel(
+                FaultProfile(loss_probability=0.02), rng.fork("faults")
+            )
+            channel = Channel(
+                simulator, LatencyModel(base_ns=5_000.0), fault_model=model
+            )
+            verifier = SachaVerifier(
+                record.system, record.mac_key, DeterministicRng(seed + 1)
+            )
+            session = NetworkAttestationSession(
+                simulator, channel, provisioned.prover, verifier,
+                rng.fork("session"), readback_batch_frames=1, max_attempts=3,
+            )
+            verdicts.add(session.run().report.verdict)
+        assert Verdict.REJECT not in verdicts
+        assert Verdict.ACCEPT in verdicts
+
+    def test_own_channel_loss_resequences_raw(self):
+        """A channel built with its own loss probability counts as lossy
+        too, even without a fault model."""
+        simulator = Simulator()
+        channel = Channel(
+            simulator,
+            LatencyModel(base_ns=1_000.0),
+            loss_probability=0.01,
+            rng=DeterministicRng(6),
         )
-        self._build(simulator, channel, reliable=False)  # must not raise
+        session = self._build(simulator, channel, reliable=False, batch=1)
+        assert session._resequenced
 
 
 class TestWindowPrecedence:
-    """`arq_tuning` is the single source of truth when supplied; a
-    conflicting explicit `arq_window` is a configuration error, not a
-    silent override."""
+    """`arq_tuning` is the single source of the ARQ window; without one
+    the perf config supplies the window and the AIMD switch."""
 
     def _build(self, **kwargs):
         system = build_sacha_system(SIM_SMALL)
@@ -432,32 +504,21 @@ class TestWindowPrecedence:
             DeterministicRng(73), reliable=True, **kwargs,
         )
 
-    def test_conflicting_windows_rejected(self):
-        from repro.net.arq import ArqTuning
-
-        with pytest.raises(ProtocolError, match="conflicting ARQ windows"):
-            self._build(arq_window=4, arq_tuning=ArqTuning(window=8))
-
-    def test_matching_windows_accepted(self):
-        from repro.net.arq import ArqTuning
-
-        session = self._build(arq_window=8, arq_tuning=ArqTuning(window=8))
-        assert session._arq_window == 8
-
     def test_tuning_alone_sets_window_and_adaptivity(self):
-        from repro.net.arq import ArqTuning
+        tuning = ArqTuning(window=16, adaptive=True)
+        session = self._build(arq_tuning=tuning)
+        assert session._arq_tuning is tuning
 
-        session = self._build(arq_tuning=ArqTuning(window=16, adaptive=True))
-        assert session._arq_window == 16
-        assert session._arq_adaptive
+    def test_config_supplies_the_default_tuning(self):
+        from repro.perf import configured
 
-    def test_explicit_window_alone_accepted(self):
-        session = self._build(arq_window=3)
-        assert session._arq_window == 3
+        with configured(arq_window=3, arq_adaptive=False):
+            session = self._build()
+        assert session._arq_tuning == ArqTuning(window=3, adaptive=False)
 
     def test_nonpositive_window_rejected(self):
-        with pytest.raises(ProtocolError, match="window"):
-            self._build(arq_window=0)
+        with pytest.raises(NetworkError, match="window"):
+            self._build(arq_tuning=ArqTuning(window=0))
 
 
 class TestCumulativeConfigAcks:

@@ -24,6 +24,7 @@ from repro.net.channel import Channel, LatencyModel
 from repro.net.faults import FaultModel, FaultProfile, OutageWindow
 from repro.obs.exporters import registry_snapshot, to_prometheus
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.perf import get_config
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
@@ -55,6 +56,8 @@ def _faulty_session(
     provisioned, record = provision_device(system, "prv-faulty", seed=seed)
     simulator = Simulator()
     rng = DeterministicRng(seed + 1)
+    if tuning is None and arq_window is not None:
+        tuning = ArqTuning(window=arq_window, adaptive=get_config().arq_adaptive)
     stochastic = needs_rng if needs_rng is not None else profile.is_stochastic
     model = FaultModel(profile, rng.fork("faults") if stochastic else None)
     channel = Channel(
@@ -73,7 +76,6 @@ def _faulty_session(
         arq_tuning=tuning,
         arq_max_retries=arq_max_retries,
         max_attempts=max_attempts,
-        arq_window=arq_window,
         readback_batch_frames=readback_batch_frames,
     )
     return session, model

@@ -34,7 +34,8 @@ class TestResolution:
     def test_auto_prefers_native_else_table(self):
         expected = "native" if native_available() else "table"
         assert resolve_backend_name("auto") == expected
-        assert resolve_backend_name(None) == expected
+        with configured(aes_backend="auto"):
+            assert resolve_backend_name(None) == expected
 
     def test_none_follows_process_config(self):
         with configured(aes_backend="reference"):
