@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -79,25 +80,93 @@ CACHE_WARM_PAIR = (
 )
 
 
+def _table_fold(rounds: int):
+    """Compile the unrolled T-table AES CBC-chain fold for ``rounds``.
+
+    The pure-Python fold the calibration times: the chain state lives in
+    four ints, the message is read as a flat tuple of big-endian words,
+    and every round is unrolled into one generated loop body, so no
+    per-block object is allocated.
+    """
+    lines = [
+        "def fold(s0, s1, s2, s3, words, K, T0, T1, T2, T3, SB):",
+        "    (" + ", ".join(f"k{i}" for i in range(4 * (rounds + 1))) + ",) = K",
+        "    i = 0",
+        "    n = len(words)",
+        "    while i < n:",
+        "        s0 = s0 ^ words[i] ^ k0",
+        "        s1 = s1 ^ words[i + 1] ^ k1",
+        "        s2 = s2 ^ words[i + 2] ^ k2",
+        "        s3 = s3 ^ words[i + 3] ^ k3",
+    ]
+    for round_index in range(1, rounds):
+        o = 4 * round_index
+        lines += [
+            f"        t{c} = T0[s{c} >> 24] ^ T1[(s{(c + 1) % 4} >> 16) & 255]"
+            f" ^ T2[(s{(c + 2) % 4} >> 8) & 255] ^ T3[s{(c + 3) % 4} & 255]"
+            f" ^ k{o + c}"
+            for c in range(4)
+        ]
+        lines.append("        s0, s1, s2, s3 = t0, t1, t2, t3")
+    o = 4 * rounds
+    lines += [
+        f"        r{c} = ((SB[s{c} >> 24] << 24) | (SB[(s{(c + 1) % 4} >> 16) & 255]"
+        f" << 16) | (SB[(s{(c + 2) % 4} >> 8) & 255] << 8)"
+        f" | SB[s{(c + 3) % 4} & 255]) ^ k{o + c}"
+        for c in range(4)
+    ]
+    lines += [
+        "        s0, s1, s2, s3 = r0, r1, r2, r3",
+        "        i += 4",
+        "    return s0, s1, s2, s3",
+    ]
+    namespace: Dict[str, object] = {}
+    exec("\n".join(lines), namespace)  # static, key-independent source
+    return namespace["fold"]
+
+
+def _encryption_tables(sbox: List[int]) -> List[List[int]]:
+    """The four AES encryption T-tables, derived from the S-box."""
+    tables: List[List[int]] = [[0] * 256 for _ in range(4)]
+    for byte, s in enumerate(sbox):
+        double = ((s << 1) ^ (0x1B if s & 0x80 else 0)) & 0xFF
+        word = (double << 24) | (s << 16) | (s << 8) | (double ^ s)
+        for column in range(4):
+            tables[column][byte] = (
+                (word >> (8 * column)) | (word << (32 - 8 * column))
+            ) & 0xFFFFFFFF
+    return tables
+
+
 def calibrate() -> float:
     """Seconds for a fixed CPU-bound workload: the machine-speed yardstick.
 
-    Folds a fixed buffer through the pure-Python ``table`` AES backend —
-    the same interpreter-bound work the benchmarks lean on — so the
-    ratio benchmark/calibration is machine-independent to first order.
+    Folds a fixed buffer through a pure-Python unrolled T-table AES
+    chain — the same interpreter-bound work the benchmarks lean on — so
+    the ratio benchmark/calibration is machine-independent to first
+    order.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.crypto.aes import SBOX, expand_round_keys
     from repro.obs.wallclock import perf_counter_s
-    from repro.perf.backends import TableCipher
 
-    cipher = TableCipher(bytes(range(16)))
+    keys = tuple(expand_round_keys(bytes(range(16))))
+    fold = _table_fold(len(keys) // 4 - 1)
+    t0, t1, t2, t3 = _encryption_tables(SBOX)
     buffer = bytes(range(256)) * 256  # 4096 blocks, ~50 ms per trial
     state = bytes(16)
-    cipher.fold(state, buffer)  # warm the generated-code cache
+
+    def trial() -> bytes:
+        words = struct.unpack(f">{len(buffer) // 4}I", buffer)
+        s0, s1, s2, s3 = struct.unpack(">4I", state)
+        s0, s1, s2, s3 = fold(s0, s1, s2, s3, words, keys, t0, t1, t2, t3, SBOX)
+        return struct.pack(">4I", s0, s1, s2, s3)
+
+    trial()  # warm up
     best = float("inf")
     for _ in range(7):
         start = perf_counter_s()
-        cipher.fold(state, buffer)
+        trial()
         best = min(best, perf_counter_s() - start)
     return best
 

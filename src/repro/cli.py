@@ -173,13 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf = parser.add_argument_group("performance (before the subcommand)")
     perf.add_argument(
-        "--aes-backend",
-        default=None,
-        choices=["auto", "reference", "table", "native"],
-        help="AES implementation for the MAC chain "
-        "(default: REPRO_AES_BACKEND or auto)",
-    )
-    perf.add_argument(
         "--swarm-workers",
         type=int,
         default=None,
@@ -614,8 +607,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.perf import configured
 
     overrides = {}
-    if args.aes_backend is not None:
-        overrides["aes_backend"] = args.aes_backend
     if args.swarm_workers is not None:
         overrides["swarm_workers"] = args.swarm_workers
     if args.arq_window is not None:

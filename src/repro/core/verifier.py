@@ -71,7 +71,6 @@ class VerifierPolicy:
     """Checks the verifier enforces beyond the two comparisons."""
 
     require_full_coverage: bool = True
-    require_frame_echo: bool = True  # responses must echo requested indices
     max_readback_steps: Optional[int] = None
 
     def validate_order(self, sequence: Sequence[int], total_frames: int) -> None:
@@ -256,15 +255,16 @@ class SachaVerifier:
             )
             _observe_verdict(report)
             return report
-        if self._policy.require_frame_echo:
-            for requested, response in zip(plan, responses):
-                if response.frame_index != requested:
-                    report.failure_reason = (
-                        f"prover answered frame {response.frame_index} "
-                        f"when frame {requested} was requested"
-                    )
-                    _observe_verdict(report)
-                    return report
+        # Responses must echo the requested indices: prover input is
+        # validated before anything is compared.
+        for requested, response in zip(plan, responses):
+            if response.frame_index != requested:
+                report.failure_reason = (
+                    f"prover answered frame {response.frame_index} "
+                    f"when frame {requested} was requested"
+                )
+                _observe_verdict(report)
+                return report
 
         # Check 1: H_Prv == H_Vrf over the received data.
         report.mac_valid = self._check_authenticity(responses, tag, expected_tag)

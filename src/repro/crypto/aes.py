@@ -111,12 +111,7 @@ def _rot_word(word: int) -> int:
 
 
 def expand_round_keys(key: bytes) -> List[int]:
-    """The AES key schedule as ``4 * (rounds + 1)`` big-endian words.
-
-    Shared by :class:`Aes` and the alternative cipher backends in
-    :mod:`repro.perf.backends`, so every backend runs the identical
-    schedule.
-    """
+    """The AES key schedule as ``4 * (rounds + 1)`` big-endian words."""
     if len(key) not in (16, 24, 32):
         raise ValueError(f"AES key must be 16/24/32 bytes, got {len(key)}")
     nk = len(key) // 4
@@ -131,11 +126,6 @@ def expand_round_keys(key: bytes) -> List[int]:
             temp = _sub_word(temp)
         words.append(words[i - nk] ^ temp)
     return words
-
-
-def encryption_tables() -> Tuple[List[int], List[int], List[int], List[int]]:
-    """The four encryption T-tables (for the table backend's fold)."""
-    return _TE0, _TE1, _TE2, _TE3
 
 
 class Aes:

@@ -5,11 +5,9 @@ per-frame steps: ``Init MAC_K``, one ``Update MAC_K`` per frame read back,
 and a ``finalize MAC_K`` when the verifier sends the ``MAC_checksum``
 command (Figure 9).  :class:`AesCmac` mirrors exactly that structure.
 
-The chain itself runs on a pluggable block-cipher backend (see
-:mod:`repro.perf.backends`): the from-scratch ``reference`` model, the
-pure-Python ``table`` fast path, or the platform-AES ``native`` fold.
-All are byte-identical; the active one comes from
-:class:`repro.perf.ReproConfig` unless a backend is named explicitly.
+The chain runs on the platform-AES ``native`` cipher (see
+:mod:`repro.perf.backends`).  The from-scratch ``reference`` model is
+byte-identical and stays as the test oracle: tests ask for it by name.
 """
 
 from __future__ import annotations
@@ -49,9 +47,8 @@ class AesCmac:
     readback sweep in one pass — same tag, none of the per-frame
     buffering.
 
-    ``backend`` selects the block-cipher implementation by name
-    (``reference`` / ``table`` / ``native``); when omitted, the process
-    :class:`repro.perf.ReproConfig` decides.
+    ``backend`` defaults to ``native``; tests pass ``"reference"`` to
+    run the chain on the oracle model.
     """
 
     def __init__(self, key: bytes, backend: Optional[str] = None) -> None:
@@ -71,9 +68,21 @@ class AesCmac:
         return self._cipher.name
 
     def update(self, data: BytesLike) -> "AesCmac":
+        return self._absorb((data,))
+
+    def update_frames(self, frames: Iterable[BytesLike]) -> "AesCmac":
+        """Fold a whole frame sweep: one join, one chain fold.
+
+        Equivalent to calling :meth:`update` once per frame, without the
+        28,488 intermediate buffer mutations of a full-device readback.
+        """
+        return self._absorb(frames)
+
+    def _absorb(self, pieces: Iterable[BytesLike]) -> "AesCmac":
+        """Join the buffered tail with ``pieces`` and fold whole blocks."""
         if self._finalized:
             raise ValueError("CMAC already finalized; create a new instance")
-        buffer = self._buffer + bytes(data)
+        buffer = b"".join((self._buffer, *pieces))
         # Keep at least one byte buffered: the final block needs subkey
         # treatment, so we may only absorb a block once we know more data
         # follows it.
@@ -85,22 +94,6 @@ class AesCmac:
             )
             buffer = buffer[foldable:]
         self._buffer = buffer
-        return self
-
-    def update_frames(self, frames: Iterable[BytesLike]) -> "AesCmac":
-        """Fold a whole frame sweep: one join, one chain fold.
-
-        Equivalent to calling :meth:`update` once per frame, without the
-        28,488 intermediate buffer mutations of a full-device readback.
-        """
-        if self._finalized:
-            raise ValueError("CMAC already finalized; create a new instance")
-        from repro.perf.backends import fold_frames
-
-        self._state, tail = fold_frames(
-            self._cipher, self._state, self._buffer, list(frames)
-        )
-        self._buffer = bytes(tail)
         return self
 
     def finalize(self) -> bytes:

@@ -21,7 +21,7 @@ LAYER_DAG: Mapping[str, Optional[FrozenSet[str]]] = {
     "utils": frozenset(),
     "errors": frozenset(),
     "sim": frozenset(),
-    # crypto is pure math plus the pluggable AES backends that repro.perf
+    # crypto is pure math plus the AES cipher seam that repro.perf
     # provides (a deliberate, lazily-imported inversion).  It must never
     # see the network, the observability layer, or the simulator.
     "crypto": frozenset({"utils", "perf"}),

@@ -1,31 +1,24 @@
-"""Performance layer: pluggable crypto backends and frame fast paths.
+"""Performance layer: the runtime AES-CMAC cipher and process config.
 
 The SACHa hot path streams all 28,488 frames of a full device through an
 incremental AES-CMAC twice (prover H_Prv and verifier H_Vrf) and then
 mask-compares the readback against the golden bitstream.  ``repro.perf``
-makes that loop configurable and fast:
+holds what makes that loop fast and tunable:
 
-* :class:`ReproConfig` selects the AES-CMAC *backend* (``reference``,
-  ``table`` or ``native``) and the swarm parallelism, from code or from
-  ``REPRO_*`` environment variables;
-* :mod:`repro.perf.backends` implements the backends — all byte-identical,
-  enforced by known-answer and property tests;
-* the fpga/core layers use bulk ``update_frames`` folds, zero-copy frame
-  views and cached mask application so that the protocol overhead around
-  the MAC shrinks with it.
+* :mod:`repro.perf.backends` — the ``native`` cipher (platform AES) every
+  MAC runs on, and the from-scratch ``reference`` oracle the known-answer
+  and property tests hold it to;
+* :class:`ReproConfig` — swarm parallelism, ARQ window, readback batching
+  and the artifact cache, from code or ``REPRO_*`` environment variables.
 
-``benchmarks/bench_gate.py`` is the regression gate CI runs over this
-layer.
+``benchmarks/bench_gate.py`` is the regression gate CI runs over the hot
+path.
 """
 
 from repro.perf.backends import (
     BACKEND_NATIVE,
     BACKEND_REFERENCE,
-    BACKEND_TABLE,
-    available_backends,
     get_cipher,
-    native_available,
-    resolve_backend_name,
 )
 from repro.perf.config import (
     ReproConfig,
@@ -37,13 +30,9 @@ from repro.perf.config import (
 __all__ = [
     "BACKEND_NATIVE",
     "BACKEND_REFERENCE",
-    "BACKEND_TABLE",
     "ReproConfig",
-    "available_backends",
     "configured",
     "get_cipher",
     "get_config",
-    "native_available",
-    "resolve_backend_name",
     "set_config",
 ]

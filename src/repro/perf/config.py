@@ -1,11 +1,10 @@
 """Runtime performance configuration.
 
-One process-wide :class:`ReproConfig` controls which AES-CMAC backend the
-crypto layer instantiates and how much parallelism the swarm sweep may
-use.  The defaults come from the environment so CLI runs and CI jobs can
-switch backends without code changes::
+One process-wide :class:`ReproConfig` controls how much parallelism the
+swarm sweep may use, the networked transport's shape and the artifact
+cache.  The defaults come from the environment so CLI runs and CI jobs
+can change them without code changes::
 
-    REPRO_AES_BACKEND=reference   # reference | table | native | auto
     REPRO_SWARM_WORKERS=4         # 0/1 = sequential sweep
     REPRO_ARQ_WINDOW=8            # ARQ payloads in flight; 1 = stop-and-wait
     REPRO_ARQ_ADAPTIVE=1          # AIMD window adaptation (window = ceiling)
@@ -13,9 +12,8 @@ switch backends without code changes::
     REPRO_ARTIFACT_CACHE=1        # memoize built system artifacts per part
     REPRO_CACHE_DIR=~/.cache/repro  # persist artifacts on disk ("" = off)
 
-``auto`` (the default) picks ``native`` when the optional ``cryptography``
-package is importable and falls back to the pure-Python ``table`` backend
-otherwise, so a bare install still runs everywhere — just slower.
+The AES-CMAC cipher is not a knob: every MAC runs on the platform AES
+(:mod:`repro.perf.backends`).
 """
 
 from __future__ import annotations
@@ -26,9 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from repro.errors import ReproError
-
-#: Recognized values for :attr:`ReproConfig.aes_backend`.
-AES_BACKEND_CHOICES = ("auto", "reference", "table", "native")
 
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("0", "false", "no", "off")
@@ -42,8 +37,6 @@ class ReproConfig:
     or :meth:`with_overrides` to install a changed copy.
     """
 
-    #: AES-CMAC backend name: ``auto``, ``reference``, ``table``, ``native``.
-    aes_backend: str = "auto"
     #: Thread workers for independent swarm-member attestations.
     #: ``0`` or ``1`` keeps the sweep sequential (byte-identical telemetry
     #: ordering); higher values attest members concurrently.
@@ -75,11 +68,6 @@ class ReproConfig:
     cache_dir: str = ""
 
     def __post_init__(self) -> None:
-        if self.aes_backend not in AES_BACKEND_CHOICES:
-            raise ReproError(
-                f"unknown AES backend {self.aes_backend!r}; "
-                f"choose from {', '.join(AES_BACKEND_CHOICES)}"
-            )
         if self.swarm_workers < 0:
             raise ReproError(
                 f"swarm_workers must be non-negative, got {self.swarm_workers}"
@@ -102,14 +90,7 @@ class ReproConfig:
     def from_env(cls, environ: Optional[dict] = None) -> "ReproConfig":
         """Build a config from ``REPRO_*`` environment variables."""
         env = os.environ if environ is None else environ
-        backend = env.get("REPRO_AES_BACKEND", "auto").strip().lower() or "auto"
-        workers_raw = env.get("REPRO_SWARM_WORKERS", "0").strip() or "0"
-        try:
-            workers = int(workers_raw)
-        except ValueError:
-            raise ReproError(
-                f"REPRO_SWARM_WORKERS must be an integer, got {workers_raw!r}"
-            ) from None
+
         def _int_env(name: str, default: str) -> int:
             raw = env.get(name, default).strip() or default
             try:
@@ -119,6 +100,7 @@ class ReproConfig:
                     f"{name} must be an integer, got {raw!r}"
                 ) from None
 
+        workers = _int_env("REPRO_SWARM_WORKERS", "0")
         window = _int_env("REPRO_ARQ_WINDOW", "8")
         batch_frames = _int_env("REPRO_READBACK_BATCH_FRAMES", "256")
 
@@ -136,7 +118,6 @@ class ReproConfig:
         artifact_cache = _bool_env("REPRO_ARTIFACT_CACHE", "1")
         cache_dir = env.get("REPRO_CACHE_DIR", "").strip()
         return cls(
-            aes_backend=backend,
             swarm_workers=workers,
             arq_window=window,
             arq_adaptive=adaptive,
@@ -173,7 +154,7 @@ def set_config(config: Optional[ReproConfig]) -> Optional[ReproConfig]:
 def configured(**overrides: object) -> Iterator[ReproConfig]:
     """Temporarily override configuration fields::
 
-        with configured(aes_backend="reference"):
+        with configured(swarm_workers=4):
             ...
     """
     current = get_config()

@@ -1,20 +1,17 @@
-"""Backend registry: resolution rules, fold_frames, obs counters."""
+"""The cipher seam, AesCmac's absorb step, obs counters."""
 
 import pytest
 
 from repro.crypto.cmac import AesCmac
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.perf import configured, set_config
-from repro.perf.backends import (
-    available_backends,
-    fold_frames,
-    get_cipher,
-    native_available,
-    resolve_backend_name,
-)
+from repro.perf import set_config
+from repro.perf.backends import get_cipher
 
 KEY = bytes(range(16))
+
+#: The runtime cipher and the oracle it is held to.
+BACKENDS = ("reference", "native")
 
 
 @pytest.fixture(autouse=True)
@@ -23,42 +20,36 @@ def _reset_config():
     set_config(None)
 
 
-class TestResolution:
-    def test_reference_and_table_always_available(self):
-        assert {"reference", "table"} <= set(available_backends())
+class TestCipherSeam:
+    def test_native_despite_stale_backend_env(self, monkeypatch):
+        # REPRO_AES_BACKEND once selected the cipher; the knob is gone,
+        # and an environment that still sets it changes nothing.
+        monkeypatch.setenv("REPRO_AES_BACKEND", "table")
+        set_config(None)
+        assert get_cipher(KEY).name == "native"
+        assert AesCmac(KEY).backend == "native"
 
-    def test_explicit_names_resolve_to_themselves(self):
-        assert resolve_backend_name("reference") == "reference"
-        assert resolve_backend_name("table") == "table"
-
-    def test_auto_prefers_native_else_table(self):
-        expected = "native" if native_available() else "table"
-        assert resolve_backend_name("auto") == expected
-        with configured(aes_backend="auto"):
-            assert resolve_backend_name(None) == expected
-
-    def test_none_follows_process_config(self):
-        with configured(aes_backend="reference"):
-            assert resolve_backend_name(None) == "reference"
-
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("name", ["table", "auto", "quantum"])
+    def test_unknown_name_rejected(self, name):
         with pytest.raises(ReproError):
-            resolve_backend_name("quantum")
+            get_cipher(KEY, name)
 
-    def test_cipher_reports_its_name(self):
-        for backend in available_backends():
-            assert get_cipher(KEY, backend).name == backend
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cipher_reports_its_name(self, backend):
+        assert get_cipher(KEY, backend).name == backend
 
 
 class TestFoldFrames:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_tail_is_never_empty_after_data(self, backend):
-        cipher = get_cipher(KEY, backend)
-        state, tail = fold_frames(cipher, bytes(16), b"", [b"\xaa" * 32])
-        # The final block must stay buffered for subkey treatment.
-        assert len(tail) == 16
+    """AesCmac's one absorb step, through ``update_frames``."""
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tail_is_never_empty_after_data(self, backend):
+        mac = AesCmac(KEY, backend=backend).update_frames([b"\xaa" * 32])
+        # The final block must stay buffered for subkey treatment.
+        assert mac._buffer == b"\xaa" * 16
+        assert mac._state != bytes(16)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_equivalent_to_incremental(self, backend):
         frames = [bytes([i]) * 324 for i in range(4)]
         bulk = AesCmac(KEY, backend=backend).update_frames(frames)
@@ -67,12 +58,11 @@ class TestFoldFrames:
             step.update(frame)
         assert bulk.finalize() == step.finalize()
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_short_input_stays_buffered(self, backend):
-        cipher = get_cipher(KEY, backend)
-        state, tail = fold_frames(cipher, bytes(16), b"ab", [b"cd"])
-        assert state == bytes(16)
-        assert bytes(tail) == b"abcd"
+        mac = AesCmac(KEY, backend=backend).update(b"ab").update_frames([b"cd"])
+        assert mac._state == bytes(16)
+        assert mac._buffer == b"abcd"
 
 
 class TestObservability:
@@ -80,7 +70,7 @@ class TestObservability:
         registry = MetricsRegistry(enabled=True)
         previous = set_registry(registry)
         try:
-            cipher = get_cipher(KEY, "table")
+            cipher = get_cipher(KEY)
             cipher.fold(bytes(16), bytes(64))
         finally:
             set_registry(previous)
@@ -89,4 +79,4 @@ class TestObservability:
             "AES-CMAC blocks folded, by cipher backend",
             labels=("backend",),
         )
-        assert counter.value(backend="table") == 4
+        assert counter.value(backend="native") == 4

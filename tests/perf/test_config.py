@@ -16,28 +16,32 @@ def _reset_config():
 class TestValidation:
     def test_defaults(self):
         config = ReproConfig()
-        assert config.aes_backend == "auto"
         assert config.swarm_workers == 0
         assert config.arq_adaptive is True
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError):
-            ReproConfig(aes_backend="quantum")
+        # The AES cipher is not configurable: every backend field is
+        # unknown to the config.
+        with pytest.raises(TypeError):
+            ReproConfig(aes_backend="native")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ReproError):
             ReproConfig(swarm_workers=-1)
 
     def test_with_overrides(self):
-        config = ReproConfig().with_overrides(aes_backend="table")
-        assert config.aes_backend == "table"
-        assert config.swarm_workers == 0
+        config = ReproConfig().with_overrides(swarm_workers=3)
+        assert config.swarm_workers == 3
+        assert config.arq_window == 8
 
 
 class TestEnvironment:
-    def test_backend_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AES_BACKEND", "reference")
-        assert ReproConfig.from_env().aes_backend == "reference"
+    # REPRO_AES_BACKEND once picked the AES backend; the knob is gone,
+    # and an environment that still sets it gets the same configuration.
+    def test_stale_backend_env_ignored(self, monkeypatch):
+        baseline = ReproConfig.from_env()
+        monkeypatch.setenv("REPRO_AES_BACKEND", "table")
+        assert ReproConfig.from_env() == baseline
 
     def test_workers_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWARM_WORKERS", "4")
@@ -82,20 +86,20 @@ class TestEnvironment:
 
 class TestProcessGlobal:
     def test_set_and_get(self):
-        set_config(ReproConfig(aes_backend="table"))
-        assert get_config().aes_backend == "table"
+        set_config(ReproConfig(swarm_workers=3))
+        assert get_config().swarm_workers == 3
 
     def test_configured_scopes_override(self):
-        set_config(ReproConfig(aes_backend="reference"))
-        with configured(aes_backend="table", swarm_workers=2):
-            assert get_config().aes_backend == "table"
+        set_config(ReproConfig(arq_window=4))
+        with configured(arq_window=1, swarm_workers=2):
+            assert get_config().arq_window == 1
             assert get_config().swarm_workers == 2
-        assert get_config().aes_backend == "reference"
+        assert get_config().arq_window == 4
         assert get_config().swarm_workers == 0
 
     def test_configured_restores_on_error(self):
         set_config(ReproConfig())
         with pytest.raises(RuntimeError):
-            with configured(aes_backend="table"):
+            with configured(swarm_workers=2):
                 raise RuntimeError("boom")
-        assert get_config().aes_backend == "auto"
+        assert get_config().swarm_workers == 0

@@ -13,7 +13,6 @@ from repro.fpga.device import SIM_SMALL
 from repro.fpga.icap import Icap
 from repro.fpga.mask import MaskFile
 from repro.fpga.registers import LiveRegisterFile, RegisterBit
-from repro.perf import configured
 from repro.utils.rng import DeterministicRng
 
 
@@ -90,38 +89,37 @@ class TestEvaluateEquivalence:
 
     @pytest.mark.parametrize("tamper", [False, True])
     def test_vectorized_verdict_matches_scalar(self, tamper):
-        with configured(aes_backend="reference"):
-            system = build_sacha_system(SIM_SMALL)
-            provisioned, record = provision_device(system, "fastpath-eq", seed=606)
-            if tamper:
-                frame = system.partition.static_frame_list()[0]
-                provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
-            verifier = SachaVerifier(
-                record.system, record.mac_key, DeterministicRng(607)
-            )
-            result = run_attestation(
-                provisioned.prover, verifier, DeterministicRng(608), SessionOptions()
-            )
-            golden = system.golden_memory(result.nonce)
-            mask = system.combined_mask()
-            scalar = sorted(
-                {
-                    response.frame_index
-                    for response in result.responses
-                    if mask.apply_to_frame(
-                        response.frame_index, golden.read_frame(response.frame_index)
-                    )
-                    != mask.apply_to_frame(response.frame_index, response.data)
-                }
-            )
-            masked_mac = AesCmac(record.mac_key.reveal())
-            for frame_index in result.plan:
-                masked_mac.update(
-                    mask.apply_to_frame(frame_index, golden.read_frame(frame_index))
+        system = build_sacha_system(SIM_SMALL)
+        provisioned, record = provision_device(system, "fastpath-eq", seed=606)
+        if tamper:
+            frame = system.partition.static_frame_list()[0]
+            provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
+        verifier = SachaVerifier(
+            record.system, record.mac_key, DeterministicRng(607)
+        )
+        result = run_attestation(
+            provisioned.prover, verifier, DeterministicRng(608), SessionOptions()
+        )
+        golden = system.golden_memory(result.nonce)
+        mask = system.combined_mask()
+        scalar = sorted(
+            {
+                response.frame_index
+                for response in result.responses
+                if mask.apply_to_frame(
+                    response.frame_index, golden.read_frame(response.frame_index)
                 )
-            assert verifier.expected_masked_mac(
-                result.nonce, result.plan
-            ) == masked_mac.finalize()
+                != mask.apply_to_frame(response.frame_index, response.data)
+            }
+        )
+        masked_mac = AesCmac(record.mac_key.reveal())
+        for frame_index in result.plan:
+            masked_mac.update(
+                mask.apply_to_frame(frame_index, golden.read_frame(frame_index))
+            )
+        assert verifier.expected_masked_mac(
+            result.nonce, result.plan
+        ) == masked_mac.finalize()
         assert result.report.accepted == (not tamper)
         assert result.report.mac_valid
         assert result.report.mismatched_frames == scalar
