@@ -56,13 +56,7 @@ def _make_session(window, batch, profile=None, adaptive=False):
     verifier = SachaVerifier(
         record.system, record.mac_key, DeterministicRng(7)
     )
-    timeout_ns = 2_000_000.0
-    tuning = ArqTuning(
-        initial_timeout_ns=timeout_ns,
-        min_timeout_ns=min(timeout_ns, ArqTuning.min_timeout_ns),
-        window=window,
-        adaptive=adaptive,
-    )
+    tuning = ArqTuning(window=window, adaptive=adaptive)
     return NetworkAttestationSession(
         simulator,
         channel,

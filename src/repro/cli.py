@@ -50,7 +50,7 @@ from repro.analysis.experiments import (
 )
 from repro.cache import get_artifact_cache
 from repro.core.protocol import SessionOptions, run_attestation
-from repro.core.provisioning import provision_device
+from repro.core.provisioning import provision_device, tamper_static_frame
 from repro.core.verifier import SachaVerifier
 from repro.fpga.device import catalog, get_part
 from repro.obs import log as obs_log
@@ -360,9 +360,7 @@ def _command_attest(args: argparse.Namespace) -> int:
     system = get_artifact_cache().get_system(args.device)
     provisioned, record = provision_device(system, "cli-board", seed=args.seed)
     if args.tamper:
-        frame = system.partition.static_frame_list()[0]
-        provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
-        print(f"(tampered static frame {frame})")
+        print(f"(tampered static frame {tamper_static_frame(provisioned)})")
     verifier = SachaVerifier(
         record.system, record.mac_key, DeterministicRng(args.seed + 1)
     )
@@ -492,8 +490,7 @@ def _command_metrics(args: argparse.Namespace) -> int:
             system, f"metrics-demo-{int(tamper)}", seed=args.seed + int(tamper)
         )
         if tamper:
-            frame = system.partition.static_frame_list()[0]
-            provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
+            tamper_static_frame(provisioned)
         verifier = SachaVerifier(
             record.system, record.mac_key, DeterministicRng(args.seed + 10)
         )

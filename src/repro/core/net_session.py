@@ -4,30 +4,23 @@
 calibrated Table-3 action model.  :class:`NetworkAttestationSession`
 instead runs the protocol *through the network substrate*: every command
 and response is a real Ethernet frame crossing a :class:`Channel` with
-serialization and latency, the prover is an endpoint handler, and the
-verifier is a state machine driven by deliveries.  Adversary taps on the
-channel see (and may rewrite) every frame — this is the path the
-man-in-the-middle attacks use.
+serialization and latency, and adversary taps on the channel see (and
+may rewrite) every frame — the path the man-in-the-middle attacks use.
+Both drive the same verifier engine,
+:class:`~repro.core.protocol.AttestationRun`: the session builds one per
+attempt, sends its schedule, feeds it every decoded response and keeps
+only the transport — ports, ARQ, retries and telemetry.
 
-One driver runs the command schedule of Figure 9 — configure, read back
-every frame in the verifier's plan order, exchange the checksum — and
-the readback batch size is its only shape decision:
+The readback batch size is the session's only shape decision:
 
 * **batch 1**: every ``ICAP_config`` goes out in its own send, then one
-  ``ICAP_readback`` is outstanding at a time; the next leaves when its
-  response is accepted and the checksum command follows the last;
+  ``ICAP_readback`` is outstanding at a time; the next leaves when the
+  run accepts its response and the checksum command follows the last;
 * **batch above 1** (the default): configuration and readback commands
   are batched to the MTU (``repro.net.batch``) and the whole schedule
   leaves in one burst ahead of the responses, the sliding-window ARQ
-  keeps several payloads in flight, and each config batch is confirmed
-  by one cumulative :class:`~repro.net.messages.ConfigAck`.
-
-Either way the verifier has one receive path: a per-frame
-:class:`~repro.net.messages.ReadbackResponse` is a one-frame fragment,
-every fragment must be the next contiguous whole-frame slice of the
-plan, the accepted bytes fill one buffer and fold into one incremental
-H_Vrf, and :func:`~repro.net.batch.reassemble_readback` turns the buffer
-into the per-frame responses the verdict compares.
+  keeps several payloads in flight, and the prover answers each config
+  batch with one cumulative :class:`~repro.net.messages.ConfigAck`.
 
 Streaming needs in-order delivery, not reliability: the raw channel
 delivers each frame after its own serialization delay, so a burst of
@@ -45,30 +38,30 @@ fault-free channel keeps the original headerless wire format.
 
 The session degrades gracefully instead of raising out of the event
 loop.  Undecodable frames (bit corruption or truncation from the fault
-model) are dropped and counted; duplicated or late responses are
-ignored; a drained simulation or an ARQ link giving up fails *the
-attempt*, and the session retries the whole protocol — fresh nonce,
-full reconfiguration, new ARQ state — up to ``max_attempts`` times
-before returning an :class:`~repro.core.report.AttestationReport` whose
-verdict is ``inconclusive`` with a structured
+model) are dropped and counted; responses the run refuses (duplicated,
+late, off the plan) are counted and ignored; a drained simulation or an
+ARQ link giving up fails *the attempt*, and the session retries the
+whole protocol — fresh nonce, full reconfiguration, new ARQ state — up
+to ``max_attempts`` times before returning an
+:class:`~repro.core.report.AttestationReport` whose verdict is
+``inconclusive`` with a structured
 :class:`~repro.core.report.FailureReason`.  A caller therefore always
 gets a verdict: ``accept``, ``reject``, or ``inconclusive``.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator, List, Optional, cast
 
 from repro.errors import NetworkError, ProtocolError
-from repro.core.protocol import readback_schedule
+from repro.core.protocol import AttestationRun
 from repro.core.prover import SachaProver
 from repro.core.report import AttestationReport, FailureReason
 from repro.core.verifier import SachaVerifier
 from repro.net.arq import ArqTuning
-from repro.net.batch import pack_config_commands, reassemble_readback
+from repro.net.batch import pack_config_commands
 from repro.net.channel import Channel, Endpoint
 from repro.net.ethernet import ETHERTYPE_SACHA, EthernetFrame, MacAddress
 from repro.net.messages import (
@@ -81,9 +74,6 @@ from repro.net.messages import (
     IcapReadbackMaskedCommand,
     MacChecksumCommand,
     MacChecksumResponse,
-    ReadbackBatchResponse,
-    ReadbackResponse,
-    Response,
     TraceHelloCommand,
     decode_command,
     decode_response,
@@ -115,15 +105,6 @@ _PROVER_SPAN_NAMES = {
 }
 
 
-class _Phase(enum.Enum):
-    IDLE = "idle"
-    CONFIG = "config"
-    READBACK = "readback"
-    CHECKSUM = "checksum"
-    DONE = "done"
-    FAILED = "failed"
-
-
 @dataclass
 class NetworkRunResult:
     report: AttestationReport
@@ -135,10 +116,6 @@ class NetworkRunResult:
 
 class NetworkAttestationSession:
     """One attestation run as network traffic on a channel."""
-
-    # Expected-MAC folds are batched to this many buffered response bytes
-    # (CMAC chunking-invariance makes the tag independent of the split).
-    _MAC_FOLD_CHUNK_BYTES = 1 << 20
 
     def __init__(
         self,
@@ -162,7 +139,6 @@ class NetworkAttestationSession:
         self._channel = channel
         self._prover = prover
         self._verifier = verifier
-        self._frame_bytes = verifier.system.device.frame_bytes
         self._rng = rng or DeterministicRng(0)
         self._reliable = reliable
         self._arq_max_retries = arq_max_retries
@@ -196,25 +172,14 @@ class NetworkAttestationSession:
         self._prover_port = self.prover_endpoint
         self._install_ports()
 
-        self._phase = _Phase.IDLE
+        self._run: Optional[AttestationRun] = None
         self._nonce = b""
-        self._plan: List[int] = []
         self._schedule: Iterator[Command] = iter(())
-        self._config_steps = 0
-        self._tag: Optional[bytes] = None
-        self._expected_tag: Optional[bytes] = None
-        self._rx_buffers: List[bytes] = []
-        self._rx_slot = 0
-        self._mac_stream = None
-        self._mac_pending: List[bytes] = []
-        self._mac_pending_bytes = 0
         self._start_ns = 0.0
         self._end_ns = 0.0
         self._trace_id = ""
         self._prover_trace_id: Optional[str] = None
         self._link_failure: Optional[NetworkError] = None
-        self._config_acked = 0
-        self._prover_configs_applied = 0
         self.undecodable_frames = 0
         self.unexpected_frames = 0
         self.total_retransmissions = 0
@@ -228,7 +193,7 @@ class NetworkAttestationSession:
         controller's history rows) read it here instead of re-deriving
         it from the report.
         """
-        return self._tag
+        return self._run.tag if self._run is not None else None
 
     # -- transport plumbing --------------------------------------------------------
 
@@ -303,9 +268,8 @@ class NetworkAttestationSession:
         """Terminal ARQ give-up: record it and let the simulation drain."""
         if self._link_failure is None:
             self._link_failure = error
-        _log.warning(
-            "session_link_failure", phase=self._phase.value, error=str(error)
-        )
+        stage = self._run.stage if self._run is not None else "idle"
+        _log.warning("session_link_failure", phase=stage, error=str(error))
 
     def _count(self, name: str, help_text: str, **labels: str) -> None:
         registry = get_registry()
@@ -323,7 +287,7 @@ class NetworkAttestationSession:
         )
 
     def _ignore_unexpected(self) -> None:
-        """Count a response the verifier ignored: out of phase, a
+        """Count a response the attempt's run refused: out of phase, a
         duplicate, off the plan cursor, or a kind it never expects."""
         self.unexpected_frames += 1
         self._count(
@@ -340,7 +304,7 @@ class NetworkAttestationSession:
         Never raises for link-level failures: after ``max_attempts``
         failed attempts the result carries an ``inconclusive`` report.
         """
-        if self._phase is not _Phase.IDLE:
+        if self._run is not None:
             raise ProtocolError("session already ran")
         self._start_ns = self._simulator.now_ns
         registry = get_registry()
@@ -377,30 +341,16 @@ class NetworkAttestationSession:
                 "Protocol attempts started by networked sessions",
             ).inc(attempts)
 
+        run = cast(AttestationRun, self._run)
         if failure is not None:
-            self._phase = _Phase.FAILED
             self._end_ns = self._simulator.now_ns
-            failure = FailureReason(
-                stage=failure.stage,
-                kind=failure.kind,
-                detail=failure.detail,
-                attempts=attempts,
+            report = AttestationReport.make_inconclusive(
+                replace(failure, attempts=attempts), self._nonce
             )
-            report = AttestationReport.make_inconclusive(failure, self._nonce)
-            report.config_steps = self._config_steps
         else:
-            responses = reassemble_readback(
-                self._plan, b"".join(self._rx_buffers), self._frame_bytes
-            )
-            report = self._verifier.evaluate(
-                self._nonce,
-                self._plan,
-                responses,
-                self._tag or b"",
-                expected_tag=self._expected_tag,
-            )
-            report.config_steps = self._config_steps
+            report = run.report()
             report.nonce = self._nonce
+        report.config_steps = len(run.config_commands)
         self._count(
             "sacha_session_outcomes_total",
             "Networked session results, by verdict",
@@ -416,89 +366,76 @@ class NetworkAttestationSession:
 
     def _run_attempt(self) -> Optional[FailureReason]:
         """One full protocol pass; None on success, the failure otherwise."""
-        # Fresh per-attempt state: nonce, plan, responses, MAC, transport.
+        # Fresh per-attempt state: a new run and a new transport.
         self._link_failure = None
         self._prover_trace_id = None
-        self._tag = None
-        self._expected_tag = None
-        self._rx_buffers = []
-        self._rx_slot = 0
-        self._mac_pending = []
-        self._mac_pending_bytes = 0
-        self._config_acked = 0
-        self._prover_configs_applied = 0
         # Abort under the prover's registry: the abandoned attempt's
         # pending command counts must land in the same shard that the
         # delivery path used, not the verifier's ambient registry.
         with use_context_registry(self._prover_registry or get_registry()):
             self._prover.abort_run()
         self._install_ports()
-        self._send_schedule()
+        run = self._run = AttestationRun(
+            self._verifier, self._nonce, self._batch_frames
+        )
+        self._send_schedule(run)
 
         self._simulator.run()
         self._harvest_retransmissions()
         if self._link_failure is not None:
             return FailureReason(
-                stage=self._phase.value,
+                stage=run.stage,
                 kind="link_down",
                 detail=str(self._link_failure),
             )
-        if self._phase is not _Phase.DONE:
+        if run.stage != "done":
             return FailureReason(
-                stage=self._phase.value,
+                stage=run.stage,
                 kind="drained",
                 detail="simulation drained before the checksum exchange; "
                 "a message was lost",
             )
-        if self._batch_frames > 1 and self._config_acked < self._config_steps:
+        config_steps = len(run.config_commands)
+        if self._batch_frames > 1 and run.config_acked < config_steps:
             # The tag arrived but the cumulative ConfigAcks do not cover
             # the configuration: on a transport without retransmission a
             # config frame may be gone, and a MAC over a misconfigured
             # device must fail toward inconclusive, not a false reject.
             return FailureReason(
-                stage=_Phase.CONFIG.value,
+                stage="config",
                 kind="config_unacked",
-                detail=f"cumulative ConfigAcks cover {self._config_acked} of "
-                f"{self._config_steps} configuration frames",
+                detail=f"cumulative ConfigAcks cover {run.config_acked} of "
+                f"{config_steps} configuration frames",
             )
-        if self._mac_stream is not None:
-            self._fold_pending()
-            self._expected_tag = self._mac_stream.finalize()
         return None
 
-    def _send_schedule(self) -> None:
+    def _send_schedule(self, run: AttestationRun) -> None:
         """Send the attempt's command schedule, shaped by the batch size.
 
         At batch 1 each configuration command goes out in its own send
         and the readbacks drip one per accepted response (see
-        :meth:`_accept_fragment`).  Above 1 the whole schedule — the
+        :meth:`_on_verifier_delivery`).  Above 1 the whole schedule — the
         telemetry hello, config batches, readback batches, checksum —
         leaves in one burst: the ARQ layer sees the burst's tail, so a
         window's worth of commands costs one cumulative ACK, and in-order
         delivery (ARQ or the resequencer) keeps the prover's view ordered.
         """
-        self._mac_stream = self._verifier.mac_stream()
         registry = get_registry()
         hello = []
         if registry.enabled and self._trace_id:
             hello.append(TraceHelloCommand(bytes.fromhex(self._trace_id)).encode())
-        config_commands = self._verifier.config_commands(self._nonce)
-        self._config_steps = len(config_commands)
-        self._plan = self._verifier.readback_plan()
-        readbacks = readback_schedule(self._verifier, self._plan, self._batch_frames)
-        self._phase = _Phase.READBACK
         if self._batch_frames == 1:
-            self._schedule = chain(readbacks, [MacChecksumCommand()])
+            self._schedule = chain(run.readbacks, [MacChecksumCommand()])
             if hello:
                 self._send_to_prover(*hello)
-            for command in config_commands:
+            for command in run.config_commands:
                 self._send_to_prover(command.encode())
             self._send_to_prover(next(self._schedule).encode())
             return
 
-        config_batches = pack_config_commands(config_commands)
+        config_batches = pack_config_commands(run.config_commands)
         # Above batch 1 every readback command is a batch.
-        readback_batches = cast(List[IcapReadbackBatchCommand], list(readbacks))
+        readback_batches = cast(List[IcapReadbackBatchCommand], list(run.readbacks))
         self._send_to_prover(
             *hello,
             *(batch.encode() for batch in config_batches),
@@ -514,7 +451,7 @@ class NetworkAttestationSession:
             counter.inc(
                 sum(len(b.frame_indices) for b in config_batches), kind="config"
             )
-            counter.inc(len(self._plan), kind="readback")
+            counter.inc(len(run.plan), kind="readback")
             registry.histogram(
                 "sacha_net_batch_size_frames",
                 "Frames per batched readback command",
@@ -535,79 +472,14 @@ class NetworkAttestationSession:
             # let the drained-simulation path fail the attempt.
             self._drop_undecodable("verifier")
             return
-        if isinstance(response, ConfigAck):
-            # Cumulative, like the ARQ's ACKs: the high-water mark is the
-            # number of configuration frames the prover has applied.
-            self._config_acked = max(self._config_acked, response.frames_applied)
-        elif isinstance(response, ReadbackBatchResponse):
-            self._accept_fragment(
-                response.base_slot, response.frame_count, response.data
-            )
-        elif isinstance(response, ReadbackResponse):
-            # A per-frame response is a one-frame fragment at the plan
-            # cursor, provided it echoes the frame the plan expects there.
-            on_plan = (
-                self._rx_slot < len(self._plan)
-                and response.frame_index == self._plan[self._rx_slot]
-            )
-            self._accept_fragment(self._rx_slot if on_plan else -1, 1, response.data)
-        else:
-            self._take_tag_or_ignore(response)
-
-    def _accept_fragment(self, base_slot: int, frame_count: int, data: bytes) -> None:
-        """Append the next contiguous, whole-frame slice of the sweep.
-
-        The plan-position cursor rejects anything else — a duplicate, a
-        reordered or out-of-phase copy, a partial frame — keeping the
-        buffer and the MAC stream aligned with the plan.
-        """
-        if (
-            self._phase is not _Phase.READBACK
-            or base_slot != self._rx_slot
-            or frame_count < 1
-            or self._rx_slot + frame_count > len(self._plan)
-            or len(data) != frame_count * self._frame_bytes
-        ):
+        run = self._run
+        if run is None or not run.receive(response):
             self._ignore_unexpected()
-            return
-        self._rx_buffers.append(data)
-        self._rx_slot += frame_count
-        if self._mac_stream is not None:
-            # Fold in coarse chunks: CMAC is chunking-invariant, and each
-            # backend fold call has fixed setup cost, so folding per ~MiB
-            # instead of per fragment keeps the stream incremental
-            # (bounded memory) at a fraction of the calls.
-            self._mac_pending.append(data)
-            self._mac_pending_bytes += len(data)
-            if self._mac_pending_bytes >= self._MAC_FOLD_CHUNK_BYTES:
-                self._fold_pending()
-        if self._rx_slot == len(self._plan):
-            self._phase = _Phase.CHECKSUM
-        if self._batch_frames == 1:
+        elif isinstance(response, MacChecksumResponse):
+            self._end_ns = self._simulator.now_ns
+        elif self._batch_frames == 1 and not isinstance(response, ConfigAck):
             # Lockstep: the next readback (or the checksum) leaves now.
             self._send_to_prover(next(self._schedule).encode())
-
-    def _fold_pending(self) -> None:
-        if self._mac_pending and self._mac_stream is not None:
-            self._mac_stream.update(b"".join(self._mac_pending))
-            self._mac_pending = []
-            self._mac_pending_bytes = 0
-
-    def _take_tag_or_ignore(self, response: Response) -> None:
-        """Take the MAC tag, or count the response as unexpected.
-
-        The tag counts only once the sweep is complete: a tag over
-        missing data must fail towards inconclusive, not a false reject.
-        """
-        if (
-            isinstance(response, MacChecksumResponse)
-            and self._phase is _Phase.CHECKSUM
-        ):
-            self._tag = response.tag
-            self._phase = _Phase.DONE
-            self._end_ns = self._simulator.now_ns
-        else:
-            self._ignore_unexpected()
 
     def _send(
         self,
@@ -664,10 +536,7 @@ class NetworkAttestationSession:
         target = self._prover_registry or get_registry()
         if isinstance(command, TraceHelloCommand):
             self._prover_trace_id = command.trace_id.hex()
-            if target.enabled:
-                with use_context_registry(target):
-                    self._prover.handle_command(command)
-            else:
+            with use_context_registry(target):
                 self._prover.handle_command(command)
             return
         if not target.enabled:
@@ -697,23 +566,12 @@ class NetworkAttestationSession:
             app_frames = self._verifier.system.app_impl.region_frames
             if app_frames and app_frames[-1] in command.frame_indices:
                 self._scramble_after_app_config()
-            if isinstance(command, IcapConfigBatchCommand):
-                # One cumulative ack per batch: the return path costs one
-                # frame per batch instead of one per configured frame.
-                self._prover_configs_applied += len(command.frame_indices)
-                self._send_config_ack()
-            return
         if result is None:
             return
+        if isinstance(result, ConfigAck) and self._link_failure is None:
+            self._count(
+                "sacha_config_acks_total",
+                "Cumulative ConfigAcks sent by provers",
+            )
         replies = result if isinstance(result, list) else [result]
         self._send_to_verifier(*(reply.encode() for reply in replies))
-
-    def _send_config_ack(self) -> None:
-        """Send the cumulative configuration acknowledgement."""
-        if self._link_failure is not None:
-            return
-        self._count(
-            "sacha_config_acks_total",
-            "Cumulative ConfigAcks sent by provers",
-        )
-        self._send_to_verifier(ConfigAck(self._prover_configs_applied).encode())

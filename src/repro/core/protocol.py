@@ -7,6 +7,11 @@ MAC computation, the final checksum exchange, and the verifier's two
 comparisons.  Timing is accumulated from the Table-3 action model plus a
 network model, so a run on the XC6VLX240T reports the paper's 1.443 s /
 28.5 s durations while moving every real byte through the real MAC.
+
+The verifier's side is :class:`AttestationRun`, a sans-IO engine that
+:func:`run_attestation` drives in memory and
+:class:`~repro.core.net_session.NetworkAttestationSession` over the
+simulated Ethernet.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Union
 
+from repro.crypto.cmac import AesCmac
 from repro.errors import ProtocolError
 from repro.core.prover import SachaProver
 from repro.core.report import AttestationReport, TimingBreakdown
@@ -29,6 +35,7 @@ from repro.net.batch import (
 )
 from repro.net.ethernet import FRAME_OVERHEAD_BYTES
 from repro.net.messages import (
+    ConfigAck,
     IcapReadbackBatchCommand,
     IcapReadbackCommand,
     IcapReadbackMaskedCommand,
@@ -130,28 +137,156 @@ def readback_schedule(
     return iter(pack_readback_plan(plan, batch_frames))
 
 
-def _received_frames(
-    command: ReadbackCommand, reply: object, frame_bytes: int
-) -> List[ReadbackResponse]:
-    """Type-check a readback reply; return the frame contents it carries."""
-    if isinstance(command, IcapReadbackBatchCommand):
-        if isinstance(reply, list) and all(
-            isinstance(fragment, ReadbackBatchResponse) for fragment in reply
+class AttestationRun:
+    """The verifier's side of one protocol attempt; it does no I/O.
+
+    Each caller builds one run per attempt, moves ``config_commands``, the
+    ``readbacks`` schedule and a ``MAC_checksum`` to the prover over its
+    own transport, and feeds every prover response to :meth:`receive` —
+    the one place that decides what the verifier accepts next:
+
+    * a cumulative :class:`~repro.net.messages.ConfigAck`, at any time;
+    * the next contiguous whole-frame slice of the plan: a
+      ``ReadbackBatchResponse`` at the cursor, or a per-frame
+      ``ReadbackResponse`` echoing the frame the plan expects there (a
+      ``MaskedReadbackAck`` instead, under prover-side masking);
+    * the MAC tag, once the sweep is complete and only once — a tag over
+      missing data must fail toward inconclusive, not a false reject.
+
+    Anything else is refused and leaves the state unchanged.  Accepted
+    bytes fill one buffer and fold into one streamed H_Vrf
+    (``verifier.mac_stream()``; the signature extension has none and
+    verifies from :meth:`responses`).
+    """
+
+    # Expected-MAC folds are batched to this many buffered response bytes
+    # (CMAC chunking-invariance makes the tag independent of the split).
+    _MAC_FOLD_CHUNK_BYTES = 1 << 20
+
+    def __init__(
+        self,
+        verifier: SachaVerifier,
+        nonce: bytes,
+        batch_frames: int = 1,
+        mask_at_prover: bool = False,
+    ) -> None:
+        self.verifier = verifier
+        self.nonce = nonce
+        self.mask_at_prover = mask_at_prover
+        self.config_commands = verifier.config_commands(nonce)
+        self.plan = verifier.readback_plan()
+        self.readbacks = readback_schedule(
+            verifier, self.plan, batch_frames, mask_at_prover
+        )
+        self.config_acked = 0
+        self.tag: Optional[bytes] = None
+        self._frame_bytes = verifier.system.device.frame_bytes
+        self._cursor = 0
+        self._buffers: List[bytes] = []
+        self._mac_stream = None if mask_at_prover else verifier.mac_stream()
+        self._folded = 0
+        self._unfolded_bytes = 0
+        # Per-frame responses as received, while every piece was one.
+        self._received: List[ReadbackResponse] = []
+
+    @property
+    def stage(self) -> str:
+        """``readback``, then ``checksum`` (sweep complete), then ``done``."""
+        if self.tag is not None:
+            return "done"
+        return "readback" if self._cursor < len(self.plan) else "checksum"
+
+    def receive(self, response: object) -> bool:
+        """Take one prover response; ``False`` if it was refused."""
+        if isinstance(response, ConfigAck):
+            self.config_acked = max(self.config_acked, response.frames_applied)
+            return True
+        if isinstance(response, ReadbackBatchResponse):
+            return self._accept(response.base_slot, response.frame_count, response.data)
+        if isinstance(response, ReadbackResponse):
+            in_sync = len(self._received) == self._cursor
+            if not (
+                self._at_cursor(response.frame_index)
+                and self._accept(self._cursor, 1, response.data)
+            ):
+                return False
+            if in_sync:
+                self._received.append(response)
+            return True
+        if isinstance(response, MaskedReadbackAck):
+            if not (self.mask_at_prover and self._at_cursor(response.frame_index)):
+                return False
+            self._cursor += 1
+            return True
+        if isinstance(response, MacChecksumResponse) and self.stage == "checksum":
+            self.tag = response.tag
+            return True
+        return False
+
+    def _at_cursor(self, frame_index: int) -> bool:
+        return (
+            self._cursor < len(self.plan) and self.plan[self._cursor] == frame_index
+        )
+
+    def _accept(self, base_slot: int, frame_count: int, data: bytes) -> bool:
+        """Append the next contiguous, whole-frame slice of the sweep."""
+        if (
+            self.mask_at_prover
+            or base_slot != self._cursor
+            or frame_count < 1
+            or self._cursor + frame_count > len(self.plan)
+            or len(data) != frame_count * self._frame_bytes
         ):
-            return reassemble_readback(
-                command.frame_indices,
-                b"".join(fragment.data for fragment in reply),
-                frame_bytes,
+            return False
+        self._buffers.append(data)
+        self._cursor += frame_count
+        stream = self._mac_stream
+        if stream is not None:
+            # Fold in coarse chunks: each fold call has fixed setup cost,
+            # so folding per ~MiB instead of per fragment keeps the
+            # stream incremental at a fraction of the calls.
+            self._unfolded_bytes += len(data)
+            if self._unfolded_bytes >= self._MAC_FOLD_CHUNK_BYTES:
+                self._fold(stream)
+        return True
+
+    def _fold(self, stream: AesCmac) -> None:
+        stream.update_frames(self._buffers[self._folded :])
+        self._folded = len(self._buffers)
+        self._unfolded_bytes = 0
+
+    def responses(self) -> List[ReadbackResponse]:
+        """The accepted sweep as per-frame responses, in plan order."""
+        if self.mask_at_prover or len(self._received) == self._cursor:
+            return list(self._received)
+        return reassemble_readback(
+            self.plan[: self._cursor], b"".join(self._buffers), self._frame_bytes
+        )
+
+    def report(self) -> AttestationReport:
+        """The verifier's two comparisons over what the run accepted."""
+        tag = self.tag or b""
+        if self.mask_at_prover:
+            return self.verifier.evaluate_masked(self.nonce, self.plan, tag)
+        expected_tag = None
+        stream = self._mac_stream
+        if stream is not None:
+            self._fold(stream)
+            expected_tag = stream.finalize()
+        return self.verifier.evaluate(
+            self.nonce, self.plan, self.responses(), tag, expected_tag=expected_tag
+        )
+
+
+def _receive_reply(run: AttestationRun, reply: object, kind: str) -> None:
+    """Feed a reply to ``run``.  Memory cannot lose or reorder a frame, so
+    a refused reply is the prover's fault."""
+    replies = reply if isinstance(reply, list) else [reply]
+    for response in replies:
+        if not run.receive(response):
+            raise ProtocolError(
+                f"prover returned {type(response).__name__} to {kind}"
             )
-    elif isinstance(command, IcapReadbackMaskedCommand):
-        if isinstance(reply, MaskedReadbackAck):
-            return []
-    elif isinstance(reply, ReadbackResponse):
-        return [reply]
-    raise ProtocolError(
-        f"prover returned {type(reply).__name__} to "
-        f"{_READBACK_KINDS[type(command)]}"
-    )
 
 
 def run_attestation(
@@ -214,9 +349,11 @@ def run_attestation(
         # -- dynamic configuration phase (Figure 9, top) ---------------------
         nonce = verifier.new_nonce()
         with span("config", clock=clock, registry=registry):
-            config_commands = verifier.config_commands(nonce)
+            run = AttestationRun(
+                verifier, nonce, options.readback_batch_frames, options.mask_at_prover
+            )
             config_ns = 0.0
-            for command in config_commands:
+            for command in run.config_commands:
                 start = elapsed
                 elapsed += a1
                 prover.handle_command(command)
@@ -234,11 +371,7 @@ def run_attestation(
             registers.scramble(rng.fork("app-activity"))
 
         # -- full configuration readback (Figure 9, middle) -------------------
-        plan = verifier.readback_plan()
-        schedule = readback_schedule(
-            verifier, plan, options.readback_batch_frames, options.mask_at_prover
-        )
-        frame_bytes = device.frame_bytes
+        plan = run.plan
         if options.mask_at_prover:
             send_ns = model.masked_readback_send_ns()
             sendback_ns = model.masked_ack_ns()
@@ -249,13 +382,12 @@ def run_attestation(
         # PHY line rate.
         ns_per_byte = GigabitPhy().ns_per_byte
         fragment_ns = (BATCH_RESPONSE_HEADER_BYTES + FRAME_OVERHEAD_BYTES) * ns_per_byte
-        frame_wire_ns = frame_bytes * ns_per_byte
-        responses: List[ReadbackResponse] = []
+        frame_wire_ns = device.frame_bytes * ns_per_byte
         readback_ns = 0.0
         readback_commands = 0
         first = True
         with span("readback", clock=clock, registry=registry, frames=len(plan)):
-            for command in schedule:
+            for command in run.readbacks:
                 frames = (
                     command.frame_indices
                     if isinstance(command, IcapReadbackBatchCommand)
@@ -269,7 +401,7 @@ def run_attestation(
                     first = False
                 with frame_span(frames[0]):
                     reply = prover.handle_command(command)
-                    received = _received_frames(command, reply, frame_bytes)
+                    _receive_reply(run, reply, _READBACK_KINDS[type(command)])
                     for _ in frames:
                         elapsed += a4
                         elapsed += a6
@@ -281,7 +413,6 @@ def run_attestation(
                         elapsed += sendback_ns
                 readback_ns += elapsed - start
                 readback_commands += 1
-                responses.extend(received)
                 trace.record(
                     start,
                     _READBACK_KINDS[type(command)],
@@ -295,12 +426,8 @@ def run_attestation(
         with span("checksum", clock=clock, registry=registry):
             start = elapsed
             elapsed += a9
-            checksum_response = prover.handle_command(MacChecksumCommand())
-            if not isinstance(checksum_response, MacChecksumResponse):
-                raise ProtocolError(
-                    f"prover returned {type(checksum_response).__name__} to "
-                    "MAC_checksum"
-                )
+            reply = prover.handle_command(MacChecksumCommand())
+            _receive_reply(run, reply, "MAC_checksum")
             elapsed += a7
             elapsed += a10
             checksum_ns = elapsed - start
@@ -309,17 +436,12 @@ def run_attestation(
 
         # -- verdict ----------------------------------------------------------
         counts = ActionCounts(
-            config_steps=len(config_commands),
+            config_steps=len(run.config_commands),
             readback_steps=readback_commands,
         )
         network_ns = options.network.overhead_ns(counts)
-        if options.mask_at_prover:
-            report = verifier.evaluate_masked(nonce, plan, checksum_response.tag)
-        else:
-            report = verifier.evaluate(
-                nonce, plan, responses, checksum_response.tag
-            )
-        report.config_steps = len(config_commands)
+        report = run.report()
+        report.config_steps = len(run.config_commands)
         report.nonce = nonce
         report.timing = TimingBreakdown(
             config_ns=config_ns,
@@ -335,7 +457,7 @@ def run_attestation(
     if obs_on:
         result_label = "accept" if report.accepted else "reject"
         attestations.inc(result=result_label)
-        frames_configured.inc(len(config_commands))
+        frames_configured.inc(len(run.config_commands))
         frames_readback.inc(len(plan))
         mac_updates.inc(len(plan))
         phase_seconds.observe(config_ns / 1e9, phase="config")
@@ -354,8 +476,8 @@ def run_attestation(
         report=report,
         nonce=nonce,
         plan=plan,
-        responses=responses,
-        tag=checksum_response.tag,
+        responses=run.responses(),
+        tag=run.tag or b"",
     )
 
 

@@ -22,6 +22,7 @@ from repro.net.batch import contiguous_runs, fragment_readback_data
 from repro.net.ethernet import MAX_PAYLOAD
 from repro.net.messages import (
     Command,
+    ConfigAck,
     IcapConfigBatchCommand,
     IcapConfigCommand,
     IcapReadbackBatchCommand,
@@ -105,7 +106,8 @@ class SachaProver:
     The prover is *stateless between commands* except for the incremental
     MAC: ``ICAP_readback`` lazily initializes it (Init MAC_K, action A5)
     and ``MAC_checksum`` finalizes and clears it, so each attestation run
-    starts fresh.
+    starts fresh — and for the run's configured-frame count, which it
+    returns as a cumulative ``ConfigAck`` for each ``ICAP_config_batch``.
     """
 
     def __init__(
@@ -118,6 +120,7 @@ class SachaProver:
         self.device_id = device_id
         self._key_provider = key_provider
         self._mac: Optional[ChecksumEngine] = None
+        self._run_configs = 0
         self.configs_handled = 0
         self.readbacks_handled = 0
         self.checksums_handled = 0
@@ -145,7 +148,7 @@ class SachaProver:
 
         Returns the response, a list of responses (batched readback
         answers fragment to the MTU), or ``None`` for fire-and-forget
-        commands.
+        commands (per-frame ``ICAP_config`` among them).
         """
         if not self.board.powered_on:
             raise ProtocolError("prover board is not powered on")
@@ -157,7 +160,7 @@ class SachaProver:
             return None
         if isinstance(command, IcapConfigBatchCommand):
             self.handle_config_batch(command.frame_indices, command.data)
-            return None
+            return ConfigAck(self._run_configs)
         if isinstance(command, IcapReadbackCommand):
             data = self.handle_readback(command.frame_index)
             return ReadbackResponse(frame_index=command.frame_index, data=data)
@@ -179,6 +182,7 @@ class SachaProver:
         """ICAP_config: write one frame into the configuration memory."""
         self.board.fpga.icap.write_frame(frame_index, data)
         self.configs_handled += 1
+        self._run_configs += 1
 
     def handle_readback(self, frame_index: int) -> bytes:
         """ICAP_readback: read one frame, fold it into the MAC, return it.
@@ -217,6 +221,7 @@ class SachaProver:
             )
         self.board.fpga.icap.write_frames(frame_indices, data)
         self.configs_handled += len(frame_indices)
+        self._run_configs += len(frame_indices)
 
     def handle_readback_batch(
         self,
@@ -277,6 +282,7 @@ class SachaProver:
             )
         tag = self._mac.finalize()
         self._mac = None
+        self._run_configs = 0
         self.checksums_handled += 1
         self._flush_command_counts()
         return tag
@@ -303,6 +309,8 @@ class SachaProver:
             counter.inc(counts[kind], kind=kind)
 
     def abort_run(self) -> None:
-        """Drop any in-progress MAC (e.g. the verifier timed out)."""
+        """Drop any in-progress MAC and configuration count (e.g. the
+        verifier timed out)."""
         self._mac = None
+        self._run_configs = 0
         self._flush_command_counts()

@@ -18,6 +18,7 @@ from repro.errors import ProvisioningError
 from repro.fpga.board import Board, Fpga
 from repro.fpga.flash import BootMem
 from repro.fpga.puf import PufKeySlot, SramPuf, enroll_device
+from repro.fpga.registers import RegisterBit
 from repro.core.prover import KeyProvider, PufDerivedKey, RegisterKey, SachaProver
 from repro.obs import log as obs_log
 from repro.utils.rng import DeterministicRng
@@ -182,3 +183,20 @@ def materialize_device(
         key_mode=key_mode,
         puf_noise_rate=puf_noise_rate,
     )
+
+
+def tamper_static_frame(provisioned: ProvisionedDevice) -> int:
+    """Model a compromised device: flip the first bit of the first static
+    frame that the mask keeps (a masked register bit would go unseen).
+    Returns the tampered frame."""
+    system = provisioned.system
+    frame = system.partition.static_frame_list()[0]
+    mask = system.combined_mask()
+    word, bit = next(
+        (word, bit)
+        for word in range(system.device.words_per_frame)
+        for bit in range(32)
+        if not mask.is_masked(RegisterBit(frame, word, bit))
+    )
+    provisioned.board.fpga.memory.flip_bit(frame, word, bit)
+    return frame

@@ -105,7 +105,7 @@ class SignatureVerifier(SachaVerifier):
     def mac_stream(self) -> None:
         """Signatures cannot be pre-folded into an expected tag: the
         check verifies the prover's signature over the digest instead of
-        recomputing a shared-key MAC, so the pipelined session falls back
+        recomputing a shared-key MAC, so the attestation run falls back
         to the full :meth:`_check_authenticity` pass."""
         return None
 

@@ -166,14 +166,12 @@ class SachaVerifier:
         return mac.finalize()
 
     def mac_stream(self) -> Optional[AesCmac]:
-        """An incremental H_Vrf accumulator for pipelined transports.
+        """An incremental H_Vrf accumulator.
 
-        The pipelined session folds readback batches into this as they
-        arrive and passes the finalized tag to :meth:`evaluate` as
-        ``expected_tag``, avoiding a second full-sweep MAC at verdict
-        time.  Returns ``None`` when the authenticity check cannot be
-        streamed (the Section-8 signature extension verifies a signature
-        instead of recomputing a MAC).
+        :class:`~repro.core.protocol.AttestationRun` folds accepted
+        readback data into it and passes the tag to :meth:`evaluate` as
+        ``expected_tag``.  ``None`` when the check cannot be streamed
+        (the Section-8 signature extension verifies a signature).
         """
         return AesCmac(self._key)
 

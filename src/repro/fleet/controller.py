@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.net_session import NetworkAttestationSession
-from repro.core.provisioning import materialize_device
+from repro.core.provisioning import materialize_device, tamper_static_frame
 from repro.core.report import AttestationReport, FailureReason, Verdict
 from repro.core.swarm import map_sharded
 from repro.core.verifier import SachaVerifier
@@ -184,8 +184,7 @@ class FleetController:
         if device.tampered:
             # The registry models a compromised device: flip one static
             # frame bit after boot, exactly like the single-device CLI.
-            frame = provisioned.system.partition.static_frame_list()[0]
-            provisioned.board.fpga.memory.flip_bit(frame, 0, 0)
+            tamper_static_frame(provisioned)
         simulator = Simulator()
         fault_model = (
             FaultModel(self._profile, rng.fork("faults"))

@@ -197,23 +197,17 @@ class ArqLink:
         simulator: Simulator,
         endpoint: Endpoint,
         peer_mac: MacAddress,
-        timeout_ns: float = 2_000_000.0,
         max_retries: int = 25,
         tuning: Optional[ArqTuning] = None,
         rng: Optional[DeterministicRng] = None,
         on_give_up: Optional[Callable[[NetworkError], None]] = None,
     ) -> None:
-        if timeout_ns <= 0:
-            raise NetworkError(f"ARQ timeout must be positive, got {timeout_ns}")
         if max_retries < 1:
             raise NetworkError(f"ARQ needs at least one retry, got {max_retries}")
         self._simulator = simulator
         self._endpoint = endpoint
         self._peer_mac = peer_mac
-        self._tuning = tuning or ArqTuning(
-            initial_timeout_ns=timeout_ns,
-            min_timeout_ns=min(timeout_ns, ArqTuning.min_timeout_ns),
-        )
+        self._tuning = tuning or ArqTuning()
         self._window = self._tuning.window
         # AIMD state: the effective window starts at the configured
         # ceiling, so a link that never loses never adapts (and stays

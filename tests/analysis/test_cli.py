@@ -37,6 +37,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "REJECTED" in out
 
+    def test_attest_tampered_on_default_device(self, capsys):
+        """SIM-MEDIUM, the default device, masks static frame 0, word 0,
+        bit 0; the tamper must flip a bit the verifier compares."""
+        assert main(["attest", "--tamper"]) == 0
+        out = capsys.readouterr().out
+        assert "REJECTED: configuration mismatch in 1 frame(s) [0]" in out
+
     def test_trace(self, capsys):
         assert main(["trace", "--device", "SIM-SMALL"]) == 0
         out = capsys.readouterr().out

@@ -144,6 +144,27 @@ class TestBatchedRuns:
                 SessionOptions(mask_at_prover=True, readback_batch_frames=4),
             )
 
+    def test_fragment_at_wrong_base_slot_rejected(self, stack, monkeypatch):
+        """The in-memory transport cannot reorder a fragment, so one that
+        names the wrong plan slot is a protocol violation, not data."""
+        provisioned, verifier = stack
+        prover = provisioned.prover
+        handle_batch = prover.handle_readback_batch
+        monkeypatch.setattr(
+            prover,
+            "handle_readback_batch",
+            lambda base_slot, frame_indices: handle_batch(base_slot + 1, frame_indices),
+        )
+        with pytest.raises(
+            ProtocolError, match="ReadbackBatchResponse to ICAP_readback_batch"
+        ):
+            run_attestation(
+                prover,
+                verifier,
+                DeterministicRng(8),
+                SessionOptions(readback_batch_frames=16),
+            )
+
 
 class TestProverRangeHandling:
     @staticmethod

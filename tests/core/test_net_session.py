@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.net_session import NetworkAttestationSession
+from repro.core.protocol import AttestationRun
 from repro.core.provisioning import provision_device
 from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
@@ -11,6 +12,12 @@ from repro.fpga.device import SIM_SMALL
 from repro.net.arq import ArqTuning
 from repro.net.channel import Channel, LatencyModel
 from repro.net.ethernet import EthernetFrame
+from repro.net.messages import (
+    ConfigAck,
+    MacChecksumResponse,
+    ReadbackBatchResponse,
+    ReadbackResponse,
+)
 from repro.sim.events import Simulator
 from repro.utils.rng import DeterministicRng
 
@@ -157,6 +164,22 @@ class TestNetworkAdversaries:
         assert all(key not in payload for payload in observed)
 
 
+def _fresh_run():
+    """An AttestationRun on SIM-SMALL, at the start of its sweep."""
+    system = build_sacha_system(SIM_SMALL)
+    _, record = provision_device(system, "prv-run", seed=90)
+    verifier = SachaVerifier(record.system, record.mac_key, DeterministicRng(91))
+    return AttestationRun(verifier, verifier.new_nonce())
+
+
+def _frame_bytes(run):
+    return run.verifier.system.device.frame_bytes
+
+
+def _run_state(run):
+    return (run.stage, run.tag, run.config_acked, len(run.responses()))
+
+
 def _reliable_session(
     window, batch, seed=50, latency_ns=1_000.0, fault_profile=None,
     reliable=True, max_attempts=1,
@@ -199,7 +222,7 @@ class TestPipelinedTransport:
             session, _ = _reliable_session(*shape)
             result = session.run()
             assert result.report.accepted, f"shape {shape} rejected"
-            results[shape] = (session._tag, result.report.nonce)
+            results[shape] = (session.tag, result.report.nonce)
         tags = {tag for tag, _ in results.values()}
         nonces = {nonce for _, nonce in results.values()}
         assert len(tags) == 1
@@ -246,97 +269,48 @@ class TestPipelinedTransport:
         # resequencer sequence header.
         assert set(opcodes) <= {0x01, 0x02, 0x03, 0x81, 0x82}
 
+    # The receive-path rules live in AttestationRun, which the session
+    # feeds every decoded response; these drive a run directly.
+
     def test_out_of_plan_fragment_is_ignored(self):
         """A fragment that is not the next contiguous plan slice cannot
-        touch the MAC stream."""
-        from repro.net.messages import ReadbackBatchResponse
-
-        session, _ = _reliable_session(8, 256)
-        result = session.run()
-        assert result.report.accepted
-        before = session.unexpected_frames
-        frame_bytes = session._verifier.system.device.frame_bytes
+        touch the buffer or the MAC stream."""
+        run = _fresh_run()
         rogue = ReadbackBatchResponse(
-            base_slot=5, frame_count=1, data=bytes(frame_bytes)
+            base_slot=5, frame_count=1, data=bytes(_frame_bytes(run))
         )
-        session._on_verifier_delivery(
-            EthernetFrame(
-                destination=session.verifier_endpoint.mac,
-                source=session.prover_endpoint.mac,
-                ethertype=0x88B5,
-                payload=rogue.encode(),
-            )
-        )
-        assert session.unexpected_frames == before + 1
+        assert not run.receive(rogue)
+        assert _run_state(run) == ("readback", None, 0, 0)
 
     def test_premature_checksum_response_is_ignored(self):
         """A MAC tag arriving before the sweep completes must not be
         trusted: a missing fragment fails towards inconclusive, never
         towards a verdict over partial data."""
-        from repro.net.messages import MacChecksumResponse
-
-        session, _ = _reliable_session(8, 256)
-        session._phase = session._phase.__class__.READBACK
-        session._plan = [0, 1, 2, 3]
-        session._rx_slot = 0
-        before = session.unexpected_frames
-        session._on_verifier_delivery(
-            EthernetFrame(
-                destination=session.verifier_endpoint.mac,
-                source=session.prover_endpoint.mac,
-                ethertype=0x88B5,
-                payload=MacChecksumResponse(tag=bytes(16)).encode(),
-            )
-        )
-        assert session.unexpected_frames == before + 1
-        assert session._tag is None
+        run = _fresh_run()
+        assert not run.receive(MacChecksumResponse(tag=bytes(16)))
+        assert run.tag is None
+        assert run.stage == "readback"
 
     def test_partial_frame_fragment_is_ignored(self):
         """A fragment whose data does not hold ``frame_count`` whole
         frames would misalign the sweep; it never enters it."""
-        from repro.net.messages import ReadbackBatchResponse
-
-        session, _ = _reliable_session(8, 256)
-        session._phase = session._phase.__class__.READBACK
-        session._plan = [0, 1, 2, 3]
-        session._rx_slot = 0
-        frame_bytes = session._verifier.system.device.frame_bytes
+        run = _fresh_run()
         short = ReadbackBatchResponse(
-            base_slot=0, frame_count=2, data=bytes(frame_bytes)
+            base_slot=0, frame_count=2, data=bytes(_frame_bytes(run))
         )
-        session._on_verifier_delivery(
-            EthernetFrame(
-                destination=session.verifier_endpoint.mac,
-                source=session.prover_endpoint.mac,
-                ethertype=0x88B5,
-                payload=short.encode(),
-            )
-        )
-        assert session.unexpected_frames == 1
-        assert session._rx_slot == 0
+        assert not run.receive(short)
+        assert run.responses() == []
 
     def test_short_per_frame_response_is_ignored(self):
         """A per-frame response is a one-frame fragment: data that is not
         exactly one frame long never enters the sweep."""
-        from repro.net.messages import ReadbackResponse
-
-        session, _ = _session()
-        session._phase = session._phase.__class__.READBACK
-        session._plan = [0, 1, 2, 3]
-        session._rx_slot = 0
-        frame_bytes = session._verifier.system.device.frame_bytes
-        short = ReadbackResponse(frame_index=0, data=bytes(frame_bytes - 1))
-        session._on_verifier_delivery(
-            EthernetFrame(
-                destination=session.verifier_endpoint.mac,
-                source=session.prover_endpoint.mac,
-                ethertype=0x88B5,
-                payload=short.encode(),
-            )
+        run = _fresh_run()
+        short = ReadbackResponse(
+            frame_index=run.plan[0], data=bytes(_frame_bytes(run) - 1)
         )
-        assert session.unexpected_frames == 1
-        assert session._rx_slot == 0
-        assert session._rx_buffers == []
+        assert not run.receive(short)
+        assert run.responses() == []
+        assert run.stage == "readback"
 
     def test_lockstep_unexpected_kind_is_counted(self):
         """A masked-readback ack means nothing to the session: the
@@ -523,26 +497,48 @@ class TestWindowPrecedence:
 
 class TestCumulativeConfigAcks:
     """The pipelined transport streams config batches without per-frame
-    responses; cumulative ConfigAcks close the loop so a run whose
-    configuration never landed fails safe instead of timing out in
-    later phases or producing an unexplained reject."""
+    responses; the prover answers each batch with a cumulative ConfigAck
+    so a run whose configuration never landed fails safe instead of
+    timing out in later phases or producing an unexplained reject."""
 
-    def test_pipelined_run_acks_every_config_frame(self):
+    @staticmethod
+    def _spy_acks(monkeypatch, session, drop=False):
+        """Record (or swallow) every ConfigAck the prover produces."""
+        prover = session._prover
+        handle = prover.handle_command
+        acks = []
+
+        def spy(command):
+            result = handle(command)
+            if isinstance(result, ConfigAck):
+                acks.append(result.frames_applied)
+                if drop:
+                    return None
+            return result
+
+        monkeypatch.setattr(prover, "handle_command", spy)
+        return acks
+
+    def test_pipelined_run_acks_every_config_frame(self, monkeypatch):
         session, _ = _reliable_session(8, 256)
-        assert session.run().report.accepted
-        assert session._config_steps > 0
-        assert session._config_acked == session._config_steps
+        acks = self._spy_acks(monkeypatch, session)
+        report = session.run().report
+        assert report.accepted
+        assert report.config_steps > 0
+        assert acks == sorted(acks)
+        assert acks[-1] == report.config_steps
 
-    def test_lockstep_sends_no_config_acks(self):
+    def test_lockstep_sends_no_config_acks(self, monkeypatch):
         session, _ = _reliable_session(1, 1)
+        acks = self._spy_acks(monkeypatch, session)
         assert session.run().report.accepted
-        assert session._config_acked == 0
+        assert acks == []
 
     def test_missing_acks_fail_toward_inconclusive(self, monkeypatch):
         from repro.core.report import Verdict
 
         session, _ = _reliable_session(8, 256)
-        monkeypatch.setattr(session, "_send_config_ack", lambda: None)
+        self._spy_acks(monkeypatch, session, drop=True)
         result = session.run()
         assert result.report.verdict is Verdict.INCONCLUSIVE
         assert "config_unacked" in result.report.failure_reason

@@ -137,6 +137,17 @@ class TestVerdictsAndExitCodes:
             assert row.verdict == "reject"
             assert row.mismatched_frames != ()
 
+    def test_tamper_visible_on_sim_medium(self, tmp_path):
+        """On SIM-MEDIUM static frame 0, word 0, bit 0 is a masked register
+        bit; the registry's tamper must land on a bit the verifier
+        compares, so the device is rejected and localized to frame 0."""
+        with FleetStore(tmp_path / "fleet.db") as store:
+            _enroll(store, 1, prefix="bad", tampered=True, part="SIM-MEDIUM")
+            result = FleetController(store).attest(seed=7)
+            assert result.rejected == ["bad-0000"]
+            row = store.last_outcomes()["bad-0000"]
+            assert row.mismatched_frames == (0,)
+
     def test_key_mismatch_is_inconclusive_and_exits_two(self, tmp_path):
         """A corrupted registry key row folds into INCONCLUSIVE — worse
         than REJECT for the exit code, because nothing was learned."""

@@ -13,16 +13,18 @@ MAC_A = MacAddress(0x020000000011)
 MAC_B = MacAddress(0x020000000012)
 
 
-def _linked_pair(loss=0.0, rng=None, timeout_ns=50_000.0, max_retries=25,
-                 tuning=None):
+def _linked_pair(loss=0.0, rng=None, max_retries=25, tuning=None):
+    tuning = tuning or ArqTuning(
+        initial_timeout_ns=50_000.0, min_timeout_ns=50_000.0
+    )
     simulator = Simulator()
     channel = Channel(
         simulator, LatencyModel(base_ns=1_000.0), loss_probability=loss, rng=rng
     )
     left_ep, right_ep = Endpoint("left", MAC_A), Endpoint("right", MAC_B)
     channel.connect(left_ep, right_ep)
-    left = ArqLink(simulator, left_ep, MAC_B, timeout_ns, max_retries, tuning)
-    right = ArqLink(simulator, right_ep, MAC_A, timeout_ns, max_retries, tuning)
+    left = ArqLink(simulator, left_ep, MAC_B, max_retries, tuning)
+    right = ArqLink(simulator, right_ep, MAC_A, max_retries, tuning)
     return simulator, channel, left, right
 
 
@@ -316,7 +318,9 @@ class TestValidation:
         simulator = Simulator()
         endpoint = Endpoint("x", MAC_A)
         with pytest.raises(NetworkError):
-            ArqLink(simulator, endpoint, MAC_B, timeout_ns=0)
+            ArqLink(
+                simulator, endpoint, MAC_B, tuning=ArqTuning(initial_timeout_ns=0)
+            )
 
     def test_bad_retries(self):
         simulator = Simulator()
