@@ -9,8 +9,7 @@ imply byte-identical artifacts, and *any* change to the part catalog,
 a core spec, the placer's region lists or the cache schema changes the
 address and forces a rebuild instead of serving stale state.
 
-``hashlib`` (not the pure-Python teaching SHA-256 in ``repro.crypto``)
-computes the digest: fingerprints are infrastructure on the verifier's
+``hashlib`` computes the digest directly: fingerprints are infrastructure on the verifier's
 hot path, not protocol state, and the canonical-JSON preimage keeps
 them reproducible across processes and machines either way.
 """

@@ -1,8 +1,12 @@
-"""From-scratch cryptographic primitives for the SACHa reproduction.
+"""Cryptographic primitives for the SACHa reproduction.
 
 Software models of the hardware cores in the StatPart (AES, AES-CMAC) and
 the auxiliary algorithms the baselines and the PUF pipeline need (SHA-256,
-HMAC, AES-CTR PRF, KDF).  No external crypto dependency is used.
+HMAC, AES-CTR PRF, KDF).  The two hot primitives run natively: the
+AES-CMAC chain on the platform AES (OpenSSL through ``cryptography``)
+and SHA-256 on ``hashlib``.  The from-scratch AES stays here: it is the
+``reference`` oracle of the CMAC chain and runs the baselines' AES-CTR
+PRF.  The from-scratch SHA-256 is the test oracle in ``tests/crypto``.
 """
 
 from repro.crypto.aes import BLOCK_SIZE, Aes

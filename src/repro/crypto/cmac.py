@@ -5,9 +5,11 @@ per-frame steps: ``Init MAC_K``, one ``Update MAC_K`` per frame read back,
 and a ``finalize MAC_K`` when the verifier sends the ``MAC_checksum``
 command (Figure 9).  :class:`AesCmac` mirrors exactly that structure.
 
-The chain runs on the platform-AES ``native`` cipher (see
-:mod:`repro.perf.backends`).  The from-scratch ``reference`` model is
-byte-identical and stays as the test oracle: tests ask for it by name.
+Each instance runs one chain on the platform-AES ``native`` cipher (see
+:mod:`repro.perf.backends`), like the single MAC core of the StatPart:
+one CBC context absorbs every frame and the final block.  The
+from-scratch ``reference`` model is byte-identical and stays as the test
+oracle: tests ask for it by name.
 """
 
 from __future__ import annotations
@@ -52,12 +54,15 @@ class AesCmac:
     """
 
     def __init__(self, key: bytes, backend: Optional[str] = None) -> None:
-        from repro.perf.backends import get_cipher
+        from repro.perf.backends import count_folded_blocks, get_cipher
 
-        self._cipher = get_cipher(key, backend)
-        zero = self._cipher.encrypt_block(bytes(BLOCK_SIZE))
+        cipher = get_cipher(key, backend)
+        self._backend = cipher.name
+        self._count_folded = count_folded_blocks
+        zero = cipher.encrypt_block(bytes(BLOCK_SIZE))
         self._k1 = _double(zero)
         self._k2 = _double(self._k1)
+        self._fold = cipher.chain()
         self._state = bytes(BLOCK_SIZE)
         self._buffer = b""
         self._finalized = False
@@ -65,7 +70,7 @@ class AesCmac:
     @property
     def backend(self) -> str:
         """The concrete backend name this instance runs on."""
-        return self._cipher.name
+        return self._backend
 
     def update(self, data: BytesLike) -> "AesCmac":
         return self._absorb((data,))
@@ -89,9 +94,8 @@ class AesCmac:
         if len(buffer) > BLOCK_SIZE:
             keep = len(buffer) % BLOCK_SIZE or BLOCK_SIZE
             foldable = len(buffer) - keep
-            self._state = self._cipher.fold(
-                self._state, memoryview(buffer)[:foldable]
-            )
+            self._state = self._fold(memoryview(buffer)[:foldable])
+            self._count_folded(self._backend, foldable // BLOCK_SIZE)
             buffer = buffer[foldable:]
         self._buffer = buffer
         return self
@@ -106,7 +110,9 @@ class AesCmac:
         else:
             padded = block + b"\x80" + bytes(BLOCK_SIZE - len(block) - 1)
             last = xor_bytes(padded, self._k2)
-        return self._cipher.encrypt_block(xor_bytes(self._state, last))
+        # The chain XORs ``last`` into its state and encrypts: E(state XOR
+        # last) is the tag.  The final block is not counted as folded.
+        return self._fold(last)
 
 
 def aes_cmac(key: bytes, message: bytes, backend: Optional[str] = None) -> bytes:

@@ -1,4 +1,4 @@
-"""HMAC-SHA256 (RFC 2104), built on the from-scratch SHA-256.
+"""HMAC-SHA256 (RFC 2104), built on :mod:`repro.crypto.sha256`.
 
 SACHa itself uses AES-CMAC; HMAC is provided for the software baselines
 (SWATT-style checksums, Perito–Tsudik MAC variant) and as a second MAC

@@ -20,6 +20,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import BitstreamCrcError, BitstreamError
 from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.device import DevicePart
@@ -122,7 +124,12 @@ class BitstreamHeader:
             offset += 2
             if offset + length > len(data):
                 raise BitstreamError("truncated bitstream header field")
-            fields.append(data[offset : offset + length].decode("utf-8"))
+            try:
+                fields.append(data[offset : offset + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise BitstreamError(
+                    f"bitstream header field {len(fields)} is not UTF-8: {exc.reason}"
+                ) from None
             offset += length
         return cls(fields[0], fields[1], fields[2]), offset
 
@@ -135,7 +142,7 @@ class Bitstream:
     words: List[int] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
-        body = b"".join(word.to_bytes(4, "big") for word in self.words)
+        body = np.array(self.words, dtype=">u4").tobytes()
         return self.header.encode() + body
 
     @classmethod
@@ -144,10 +151,7 @@ class Bitstream:
         body = data[offset:]
         if len(body) % 4:
             raise BitstreamError(f"bitstream body of {len(body)} bytes is not word-aligned")
-        words = [
-            int.from_bytes(body[i : i + 4], "big") for i in range(0, len(body), 4)
-        ]
-        return cls(header, words)
+        return cls(header, np.frombuffer(body, dtype=">u4").tolist())
 
     def size_bytes(self) -> int:
         return len(self.header.encode()) + 4 * len(self.words)
@@ -191,10 +195,10 @@ class BitstreamWriter:
         if not self._synced:
             raise BitstreamError("packets before sync word")
         self._emit(type1_header(PacketOp.WRITE, register, len(values)))
-        for value in values:
-            self._emit(value)
-            if register != ConfigRegister.CRC:
-                self._crc.feed(int(register), value & 0xFFFFFFFF)
+        words = [value & 0xFFFFFFFF for value in values]
+        self._words.extend(words)
+        if register != ConfigRegister.CRC:
+            self._crc.feed_words(int(register), words)
         return self
 
     def command(self, command: ConfigCommand) -> "BitstreamWriter":
@@ -211,30 +215,24 @@ class BitstreamWriter:
         Large payloads use the type-1(0)/type-2 continuation form, exactly
         like real full bitstreams.
         """
-        words_per_frame = self._device.words_per_frame
-        data_words: List[int] = []
         for frame in frames:
             if len(frame) != self._device.frame_bytes:
                 raise BitstreamError(
                     f"frame payload must be {self._device.frame_bytes} bytes, "
                     f"got {len(frame)}"
                 )
-            data_words.extend(
-                int.from_bytes(frame[i : i + 4], "big") for i in range(0, len(frame), 4)
-            )
+        data_words = np.frombuffer(b"".join(frames), dtype=">u4")
         self.write_register(
             ConfigRegister.FAR, [self._far_codec.pack_linear(start_frame)]
         )
         self.command(ConfigCommand.WCFG)
         if len(data_words) < (1 << _TYPE1_COUNT_BITS):
-            self.write_register(ConfigRegister.FDRI, data_words)
+            self.write_register(ConfigRegister.FDRI, data_words.tolist())
         else:
             self._emit(type1_header(PacketOp.WRITE, ConfigRegister.FDRI, 0))
             self._emit(type2_header(PacketOp.WRITE, len(data_words)))
-            for value in data_words:
-                self._emit(value)
-                self._crc.feed(int(ConfigRegister.FDRI), value)
-        del words_per_frame
+            self._words.extend(data_words.tolist())
+            self._crc.feed_words(int(ConfigRegister.FDRI), data_words)
         return self
 
     def crc_check(self) -> "BitstreamWriter":
@@ -423,10 +421,19 @@ class BitstreamLoader:
                 )
             return None
 
+        if register == ConfigRegister.FDRI:
+            return self._write_fdri(
+                np.asarray(payload, dtype=np.uint32), crc, registers, report
+            )
         crc.feed_words(register, payload)
 
         if register == ConfigRegister.CMD:
-            command = ConfigCommand(payload[-1])
+            try:
+                command = ConfigCommand(payload[-1])
+            except ValueError:
+                raise BitstreamError(
+                    f"unknown CMD value {payload[-1]:#x}"
+                ) from None
             report.commands.append(command)
             if command == ConfigCommand.RCRC:
                 crc.reset()
@@ -446,21 +453,28 @@ class BitstreamLoader:
                 payload[-1]
             )
             return None
-        if register == ConfigRegister.FDRI:
-            words_per_frame = self._device.words_per_frame
-            if len(payload) % words_per_frame:
-                raise BitstreamError(
-                    f"FDRI payload of {len(payload)} words is not frame-aligned"
-                )
-            frame_index = registers.get(int(ConfigRegister.FAR), 0)
-            for start in range(0, len(payload), words_per_frame):
-                chunk = payload[start : start + words_per_frame]
-                data = b"".join(value.to_bytes(4, "big") for value in chunk)
-                self._icap.write_frame(frame_index, data)
-                report.frames_written.append(frame_index)
-                frame_index += 1
-            registers[int(ConfigRegister.FAR)] = frame_index
-            return None
         # Other registers (CTL0, COR0, MASK, ...) are accepted and ignored.
         registers[register] = payload[-1] if payload else 0
         return None
+
+    def _write_fdri(
+        self,
+        words: np.ndarray,
+        crc: XilinxBitstreamCrc,
+        registers: Dict[int, int],
+        report: LoadReport,
+    ) -> None:
+        """FDRI data: frames from the FAR cursor on, auto-incrementing."""
+        crc.feed_words(int(ConfigRegister.FDRI), words)
+        if len(words) % self._device.words_per_frame:
+            raise BitstreamError(
+                f"FDRI payload of {len(words)} words is not frame-aligned"
+            )
+        frame_index = registers.get(int(ConfigRegister.FAR), 0)
+        data = words.astype(">u4").tobytes()
+        frame_bytes = self._device.frame_bytes
+        for offset in range(0, len(data), frame_bytes):
+            self._icap.write_frame(frame_index, data[offset : offset + frame_bytes])
+            report.frames_written.append(frame_index)
+            frame_index += 1
+        registers[int(ConfigRegister.FAR)] = frame_index

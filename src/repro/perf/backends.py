@@ -4,9 +4,12 @@ The incremental CMAC chain is ``state = E_K(state XOR block)`` for every
 16-byte block, followed by one subkey-treated final block.  Everything a
 cipher must provide is therefore two operations:
 
-* ``encrypt_block`` — one raw AES encryption (subkey derivation and the
-  final block);
-* ``fold`` — absorb a whole buffer of complete blocks into the chain.
+* ``encrypt_block`` — one raw AES encryption (subkey derivation);
+* ``chain`` — a fresh chain at the zero state, returned as a ``fold``
+  function: ``fold(buffer)`` absorbs a buffer of complete blocks and
+  returns the new chain state.  Each :class:`repro.crypto.cmac.AesCmac`
+  makes one chain and pushes every block through it, the
+  subkey-treated final block included (its chain state is the tag).
 
 Two implementations exist, byte-identical (known-answer and property
 tests enforce it):
@@ -14,19 +17,22 @@ tests enforce it):
 ``native``
     The runtime cipher every :class:`repro.crypto.cmac.AesCmac` uses:
     platform AES (OpenSSL through ``cryptography``) with the CBC
-    identity — CBC-encrypting the buffer with IV = state yields the
-    chain state as the last ciphertext block.
+    identity — CBC with IV = 0 computes ``c_i = E(c_{i-1} XOR m_i)``, so
+    the last ciphertext block is the chain state.  One CBC encryptor
+    serves the whole MAC: a full-device MAC builds two OpenSSL contexts
+    (the ECB subkey block and the chain), not one per frame.
 
 ``reference``
     The seed's from-scratch :class:`repro.crypto.aes.Aes`, one
-    ``encrypt_block`` call per block.  Dependency free and the ground
-    truth: the test oracle the KAT and equivalence suites compare
-    ``native`` against.  Nothing selects it at runtime.
+    ``encrypt_block`` call per block, its chain state closed over.
+    Dependency free and the ground truth: the test oracle the KAT and
+    equivalence suites compare ``native`` against.  Nothing selects it
+    at runtime.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -40,13 +46,16 @@ BACKEND_NATIVE = "native"
 
 BytesLike = Union[bytes, bytearray, memoryview]
 
+#: A CMAC chain: absorb whole blocks, return the chain state.
+Fold = Callable[[BytesLike], bytes]
+
 
 # (registry, generation, counter) for the fold counter: folds run once
 # per MAC'd frame, so the registry's locked lookup is cached away.
 _FOLD_COUNTER = None
 
 
-def _count_fold(backend: str, blocks: int) -> None:
+def count_folded_blocks(backend: str, blocks: int) -> None:
     """Perf counter: blocks absorbed per backend (no-op when obs is off)."""
     global _FOLD_COUNTER
     registry = get_registry()
@@ -74,6 +83,11 @@ def _count_fold(backend: str, blocks: int) -> None:
     cached[3].inc(blocks)
 
 
+def _check_whole_blocks(length: int) -> None:
+    if length % BLOCK_SIZE:
+        raise ValueError(f"fold needs whole blocks, got {length} bytes")
+
+
 class ReferenceCipher:
     """The seed implementation: one object-churning call per block."""
 
@@ -85,17 +99,23 @@ class ReferenceCipher:
     def encrypt_block(self, block: bytes) -> bytes:
         return self._aes.encrypt_block(block)
 
-    def fold(self, state: bytes, buffer: BytesLike) -> bytes:
-        data = bytes(buffer)
+    def chain(self) -> Fold:
         encrypt = self._aes.encrypt_block
-        for offset in range(0, len(data), BLOCK_SIZE):
-            state = encrypt(xor_bytes(state, data[offset : offset + BLOCK_SIZE]))
-        _count_fold(self.name, len(data) // BLOCK_SIZE)
-        return state
+        state = bytes(BLOCK_SIZE)
+
+        def fold(buffer: BytesLike) -> bytes:
+            nonlocal state
+            data = bytes(buffer)
+            _check_whole_blocks(len(data))
+            for offset in range(0, len(data), BLOCK_SIZE):
+                state = encrypt(xor_bytes(state, data[offset : offset + BLOCK_SIZE]))
+            return state
+
+        return fold
 
 
 class NativeCipher:
-    """Platform AES (OpenSSL through ``cryptography``): CBC-identity fold."""
+    """Platform AES (OpenSSL through ``cryptography``): one CBC chain."""
 
     name = BACKEND_NATIVE
 
@@ -108,18 +128,20 @@ class NativeCipher:
         encryptor = Cipher(self._algorithm, modes.ECB()).encryptor()
         return encryptor.update(block) + encryptor.finalize()
 
-    def fold(self, state: bytes, buffer: BytesLike) -> bytes:
-        length = len(buffer)
-        if length % BLOCK_SIZE:
-            raise ValueError(f"fold needs whole blocks, got {length} bytes")
-        if not length:
+    def chain(self) -> Fold:
+        # The encryptor carries the last ciphertext block between
+        # updates, so consecutive updates continue one CBC stream.
+        update = Cipher(self._algorithm, modes.CBC(bytes(BLOCK_SIZE))).encryptor().update
+        state = bytes(BLOCK_SIZE)
+
+        def fold(buffer: BytesLike) -> bytes:
+            nonlocal state
+            _check_whole_blocks(len(buffer))
+            if len(buffer):
+                state = update(buffer)[-BLOCK_SIZE:]
             return state
-        # CBC with IV = state computes c_i = E(c_{i-1} XOR m_i): exactly
-        # the CMAC chain, so the final ciphertext block IS the new state.
-        encryptor = Cipher(self._algorithm, modes.CBC(bytes(state))).encryptor()
-        ciphertext = encryptor.update(bytes(buffer))
-        _count_fold(self.name, length // BLOCK_SIZE)
-        return ciphertext[-BLOCK_SIZE:]
+
+        return fold
 
 
 CipherLike = Union[ReferenceCipher, NativeCipher]

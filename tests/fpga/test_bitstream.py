@@ -65,6 +65,11 @@ class TestHeader:
         with pytest.raises(BitstreamError):
             BitstreamHeader.decode(b"NOPE" + bytes(20))
 
+    def test_non_utf8_field_is_a_bitstream_error(self):
+        blob = b"XBIT" + b"\x00\x02\xc3\x28" + b"\x00\x00" * 2
+        with pytest.raises(BitstreamError, match="UTF-8"):
+            BitstreamHeader.decode(blob)
+
 
 class TestSerialization:
     def test_bytes_roundtrip(self, random_memory):
@@ -168,3 +173,9 @@ class TestWriterValidation:
                 break
         with pytest.raises(BitstreamError, match="IDCODE|CRC"):
             BitstreamLoader(_fresh_icap()).load(bitstream)
+
+    def test_unknown_command_is_a_bitstream_error(self):
+        writer = BitstreamWriter(SIM_SMALL, "x").sync()
+        writer.write_register(ConfigRegister.CMD, [33])
+        with pytest.raises(BitstreamError, match="unknown CMD"):
+            BitstreamLoader(_fresh_icap()).load(writer.finish())

@@ -70,8 +70,10 @@ class TestObservability:
         registry = MetricsRegistry(enabled=True)
         previous = set_registry(registry)
         try:
-            cipher = get_cipher(KEY)
-            cipher.fold(bytes(16), bytes(64))
+            for backend in BACKENDS:
+                # 64 bytes: three blocks absorbed, the last one kept for
+                # finalize, which does not count it.
+                AesCmac(KEY, backend=backend).update(bytes(64)).finalize()
         finally:
             set_registry(previous)
         counter = registry.counter(
@@ -79,4 +81,5 @@ class TestObservability:
             "AES-CMAC blocks folded, by cipher backend",
             labels=("backend",),
         )
-        assert counter.value(backend="native") == 4
+        assert counter.value(backend="native") == 3
+        assert counter.value(backend="reference") == 3

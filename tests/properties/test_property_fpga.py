@@ -1,9 +1,18 @@
 """Property-based tests for the FPGA substrate."""
 
+import functools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fpga.bitstream import BitstreamLoader, build_partial_bitstream
+from repro.design import build_sacha_system
+from repro.errors import ReproError
+from repro.fpga.bitstream import (
+    Bitstream,
+    BitstreamLoader,
+    build_full_bitstream,
+    build_partial_bitstream,
+)
 from repro.fpga.config_memory import ConfigurationMemory
 from repro.fpga.device import SIM_SMALL
 from repro.fpga.icap import Icap
@@ -75,6 +84,37 @@ class TestBitstreamProperties:
                 source.read_frame(index) if index in targets else bytes(FRAME_BYTES)
             )
             assert icap.memory.read_frame(index) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _bitstream_blobs():
+    """SIM-SMALL's static (boot) bitstream and a full random-memory one."""
+    static = build_sacha_system(SIM_SMALL).static_bitstream().to_bytes()
+    memory = ConfigurationMemory(SIM_SMALL)
+    memory.randomize(DeterministicRng(3))
+    return static, build_full_bitstream(memory, "mutated").to_bytes()
+
+
+class TestBitstreamMutationProperties:
+    """A bitstream damaged in a few bits is rejected with a typed error
+    (or still loads), never with a crash: the parser and loader are the
+    prover's first line against crafted configuration input."""
+
+    @given(
+        which=st.sampled_from((0, 1)),
+        flips=st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_only_typed_errors_escape(self, which, flips):
+        data = bytearray(_bitstream_blobs()[which])
+        for flip in flips:
+            position = flip % (len(data) * 8)
+            data[position // 8] ^= 1 << (position % 8)
+        try:
+            bitstream = Bitstream.from_bytes(bytes(data))
+            BitstreamLoader(Icap(ConfigurationMemory(SIM_SMALL))).load(bitstream)
+        except ReproError:
+            pass
 
 
 class TestMaskProperties:
