@@ -53,12 +53,7 @@ from repro.core.signature_ext import (
     SigningProver,
     upgrade_to_signatures,
 )
-from repro.core.swarm import (
-    SwarmAttestation,
-    SwarmMember,
-    SwarmReport,
-    build_swarm,
-)
+from repro.core.swarm import SwarmAttestation, SwarmMember, SwarmReport
 from repro.core.verifier import SachaVerifier, VerifierPolicy
 
 __all__ = [
@@ -100,7 +95,6 @@ __all__ = [
     "SwarmAttestation",
     "SwarmMember",
     "SwarmReport",
-    "build_swarm",
     "SachaVerifier",
     "VerifierPolicy",
 ]

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.errors import ProtocolError, ReproError
 from repro.core.protocol import SessionOptions, run_attestation
 from repro.core.prover import SachaProver
-from repro.core.report import AttestationReport
+from repro.core.swarm import fold_failure
 from repro.core.verifier import SachaVerifier
+from repro.errors import ProtocolError
 from repro.obs import log as obs_log
 from repro.obs.metrics import get_registry
 from repro.sim.events import Simulator
@@ -136,51 +136,23 @@ class AttestationMonitor:
         self._remaining_runs -= 1
         self._run_counter += 1
         started = self._simulator.now_ns
-        report: Optional[AttestationReport] = None
-        failure_detail = ""
-        try:
-            result = run_attestation(
+        # One failing run must not kill the monitor: it folds into an
+        # inconclusive sample and the periodic schedule stays alive.
+        report = fold_failure(
+            lambda: run_attestation(
                 self._prover,
                 self._verifier,
                 self._rng.fork(f"run-{self._run_counter}"),
                 self._options,
-            )
-            report = result.report
-        except ReproError as exc:
-            # One failing run must not kill the monitor: record an
-            # inconclusive sample and keep the periodic schedule alive.
-            # Reset the prover's incremental MAC so the aborted run
-            # cannot corrupt the next period's checksum.
-            self._prover.abort_run()
-            failure_detail = f"{type(exc).__name__}: {exc}"
-            _log.warning(
-                "monitor_run_failed", run=self._run_counter, error=str(exc)
-            )
-        registry = get_registry()
-        if report is None:
-            sample = MonitorSample(
-                started_ns=started,
-                finished_ns=started,
-                accepted=False,
-                mismatched_frames=(),
-                verdict="inconclusive",
-                failure_detail=failure_detail,
-            )
-            self.history.samples.append(sample)
-            if registry.enabled:
-                registry.counter(
-                    "sacha_monitor_runs_total",
-                    "Periodic attestation runs executed",
-                ).inc()
-                registry.counter(
-                    "sacha_monitor_inconclusive_total",
-                    "Periodic attestation runs that failed to reach a verdict",
-                ).inc()
-            if self._remaining_runs > 0:
-                self._simulator.schedule_at(
-                    started + self._period_ns, self._run_once, label="monitor-run"
-                )
-            return
+            ).report,
+            stage="monitor",
+            log=_log,
+            event="monitor_run_failed",
+            prover=self._prover,
+            run=self._run_counter,
+        )
+        # An inconclusive run has no timing: it occupies no time on the
+        # clock and never trips the period check.
         duration = report.timing.total_ns if report.timing else 0.0
         if duration >= self._period_ns:
             raise ProtocolError(
@@ -189,18 +161,26 @@ class AttestationMonitor:
                 "be attested back to back"
             )
         finished = started + duration
+        failure = report.failure
         sample = MonitorSample(
             started_ns=started,
             finished_ns=finished,
             accepted=report.accepted,
             mismatched_frames=tuple(report.mismatched_frames),
             verdict=report.verdict.value,
+            failure_detail=f"{failure.kind}: {failure.detail}" if failure else "",
         )
         self.history.samples.append(sample)
+        registry = get_registry()
         if registry.enabled:
             registry.counter(
                 "sacha_monitor_runs_total", "Periodic attestation runs executed"
             ).inc()
+            if sample.verdict == "inconclusive":
+                registry.counter(
+                    "sacha_monitor_inconclusive_total",
+                    "Periodic attestation runs that failed to reach a verdict",
+                ).inc()
             if sample.verdict == "reject":
                 registry.counter(
                     "sacha_monitor_rejections_total",

@@ -38,9 +38,10 @@ class FailureReason:
     """Structured description of why a run failed to reach a verdict.
 
     ``stage`` names where the run died (``config`` / ``readback`` /
-    ``checksum`` / ``link`` / ``member`` / ``session``); ``kind`` is a
-    machine-matchable class (``link_down``, ``drained``, ``exception``,
-    ...); ``detail`` is the human-readable remainder.
+    ``checksum`` / ``link`` / ``member`` / ``session`` / ``fleet`` /
+    ``monitor``); ``kind`` is a machine-matchable class (``link_down``,
+    ``drained``, ``exception``, ...); ``detail`` is the human-readable
+    remainder.
     """
 
     stage: str

@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, TypeVar, Union
 
 from repro.core.protocol import SessionOptions, run_attestation
 from repro.core.prover import SachaProver
@@ -29,6 +29,14 @@ from repro.utils.rng import DeterministicRng
 _log = obs_log.get_logger(__name__)
 
 _T = TypeVar("_T")
+
+
+class _Device(Protocol):
+    @property
+    def device_id(self) -> str: ...
+
+
+_D = TypeVar("_D", bound=_Device)
 
 
 def map_sharded(
@@ -51,7 +59,8 @@ def map_sharded(
     calls run without shards.  Results always return in index order.
 
     Callers needing per-call randomness must fork their RNGs *before*
-    dispatch (one per index), never inside ``fn`` from shared state.
+    dispatch (one per index), never inside ``fn`` from shared state —
+    :func:`sweep_devices` does exactly that.
     """
     if count <= 0:
         return []
@@ -78,6 +87,62 @@ def map_sharded(
         )
     merge_registries(shards, into=target)
     return results
+
+
+def sweep_devices(
+    attest: Callable[[_D, DeterministicRng], _T],
+    devices: Sequence[_D],
+    rng: DeterministicRng,
+    max_workers: int,
+    registry: Optional[MetricsRegistry] = None,
+) -> List[_T]:
+    """Run ``attest(device, device_rng)`` for every device, sharded.
+
+    The one sweep dispatch of the swarm and the fleet controller: one RNG
+    per ``device.device_id`` is forked from ``rng`` *before* dispatch, so
+    verdicts, nonces and tags depend only on (device, sweep RNG) and
+    never on scheduling; the calls then run through :func:`map_sharded`
+    and return in device order.
+    """
+    device_rngs = [rng.fork(device.device_id) for device in devices]
+    return map_sharded(
+        lambda index: attest(devices[index], device_rngs[index]),
+        len(devices),
+        max_workers,
+        registry=registry,
+    )
+
+
+def fold_failure(
+    attempt: Callable[[], _T],
+    *,
+    stage: str,
+    log: obs_log.StructuredLogger,
+    event: str,
+    prover: Optional[SachaProver] = None,
+    **fields: object,
+) -> Union[_T, AttestationReport]:
+    """Return ``attempt()``, or fold a raised :class:`ReproError` into an
+    INCONCLUSIVE report.
+
+    The one failure fold of the swarm, fleet and monitor drivers: a run
+    that raises (dead link, crashing prover, unmaterializable device)
+    becomes a no-verdict report whose :class:`FailureReason` carries
+    ``stage``, the exception's class name and its message, after
+    ``event`` is logged on the caller's ``log`` with ``fields``.
+    """
+    try:
+        return attempt()
+    except ReproError as exc:
+        if prover is not None:
+            # A half-finished run leaves incremental MAC state in the
+            # prover; reset it so the failure cannot bleed into the next
+            # run or sweep.
+            prover.abort_run()
+        log.warning(event, **fields, error=str(exc))
+        return AttestationReport.make_inconclusive(
+            FailureReason(stage=stage, kind=type(exc).__name__, detail=str(exc))
+        )
 
 
 @dataclass
@@ -178,35 +243,6 @@ class SwarmAttestation:
     def __len__(self) -> int:
         return len(self._members)
 
-    def _attest_member(
-        self,
-        member: SwarmMember,
-        member_rng: DeterministicRng,
-        options: SessionOptions,
-    ) -> AttestationReport:
-        """One member's run, with failures folded into the report."""
-        try:
-            return run_attestation(
-                member.prover, member.verifier, member_rng, options
-            ).report
-        except ReproError as exc:
-            # A half-finished run leaves incremental MAC state in the
-            # prover; reset it so the failure cannot bleed into the next
-            # member or sweep.
-            member.prover.abort_run()
-            _log.warning(
-                "swarm_member_failed",
-                device_id=member.device_id,
-                error=str(exc),
-            )
-            return AttestationReport.make_inconclusive(
-                FailureReason(
-                    stage="member",
-                    kind=type(exc).__name__,
-                    detail=str(exc),
-                )
-            )
-
     def run(
         self,
         rng: DeterministicRng,
@@ -221,62 +257,61 @@ class SwarmAttestation:
         concurrently (the slowest member bounds the sweep).
 
         ``max_workers`` > 1 runs member attestations on a thread pool
-        (default: :class:`repro.perf.ReproConfig` ``swarm_workers``).
-        Each member's RNG is forked from its device id *before* the
-        sweep, so verdicts, nonces, and reports are byte-identical to
-        the sequential sweep regardless of completion order; results and
-        ``on_result`` callbacks are delivered in member order.
+        (default: :class:`repro.perf.ReproConfig` ``swarm_workers``)
+        through :func:`sweep_devices`, so verdicts, nonces, reports and
+        merged telemetry are byte-identical to the sequential sweep;
+        results and ``on_result`` callbacks arrive in member order.
 
         A member whose run raises (dead link, crashing prover) is
-        recorded with an ``inconclusive`` report; the sweep always
-        completes and the report covers every member.
+        recorded with an ``inconclusive`` report (:func:`fold_failure`);
+        the sweep always completes and the report covers every member.
         """
         options = options if options is not None else SessionOptions()
         if max_workers is None:
             from repro.perf import get_config
 
             max_workers = get_config().swarm_workers
-        workers = min(max(max_workers, 1), len(self._members))
         report = SwarmReport()
         registry = get_registry()
         durations: List[float] = []
         sweep_clock = lambda: sum(durations)  # noqa: E731 — sequential sweep time
-        member_rngs = [rng.fork(member.device_id) for member in self._members]
-        def record(member: SwarmMember, member_report: AttestationReport) -> None:
-            report.results[member.device_id] = member_report
-            durations.append(
-                member_report.timing.total_ns if member_report.timing else 0.0
+
+        def attest(
+            member: SwarmMember, member_rng: DeterministicRng
+        ) -> AttestationReport:
+            return fold_failure(
+                lambda: run_attestation(
+                    member.prover, member.verifier, member_rng, options
+                ).report,
+                stage="member",
+                log=_log,
+                event="swarm_member_failed",
+                prover=member.prover,
+                device_id=member.device_id,
             )
-            if registry.enabled:
-                registry.counter(
-                    "sacha_swarm_member_verdicts_total",
-                    "Per-member attestation outcomes across sweeps",
-                    labels=("device_id", "verdict"),
-                ).inc(
-                    device_id=member.device_id,
-                    verdict=member_report.verdict.value,
-                )
-            if on_result is not None:
-                on_result(member.device_id, member_report)
 
         with span("swarm_sweep", clock=sweep_clock, members=len(self._members)):
-            # Each worker collects into its own registry shard inside a
-            # copied context: the copy carries the sweep span (so member
-            # spans stay children of ``swarm_sweep``) and the shard is
-            # installed context-locally (so threads never contend on the
-            # active registry).  Shards merge back in member order —
-            # byte-identical output to the sequential sweep regardless
-            # of worker count or completion order.
-            member_reports = map_sharded(
-                lambda index: self._attest_member(
-                    self._members[index], member_rngs[index], options
-                ),
-                len(self._members),
-                workers,
-                registry=registry,
+            # Worker shards run in copied contexts, so member spans stay
+            # children of ``swarm_sweep``.
+            member_reports = sweep_devices(
+                attest, self._members, rng, max_workers, registry=registry
             )
             for member, member_report in zip(self._members, member_reports):
-                record(member, member_report)
+                report.results[member.device_id] = member_report
+                durations.append(
+                    member_report.timing.total_ns if member_report.timing else 0.0
+                )
+                if registry.enabled:
+                    registry.counter(
+                        "sacha_swarm_member_verdicts_total",
+                        "Per-member attestation outcomes across sweeps",
+                        labels=("device_id", "verdict"),
+                    ).inc(
+                        device_id=member.device_id,
+                        verdict=member_report.verdict.value,
+                    )
+                if on_result is not None:
+                    on_result(member.device_id, member_report)
         report.sequential_ns = sum(durations)
         report.parallel_ns = max(durations) if durations else 0.0
         if registry.enabled:
@@ -310,19 +345,3 @@ class SwarmAttestation:
                 sequential_ns=report.sequential_ns,
             )
         return report
-
-
-def build_swarm(
-    make_member: Callable[[int], Tuple[str, SachaProver, SachaVerifier]],
-    count: int,
-) -> SwarmAttestation:
-    """Construct a swarm from a member factory (index → member parts)."""
-    if count <= 0:
-        raise ProtocolError(f"swarm size must be positive, got {count}")
-    members = []
-    for index in range(count):
-        device_id, prover, verifier = make_member(index)
-        members.append(
-            SwarmMember(device_id=device_id, prover=prover, verifier=verifier)
-        )
-    return SwarmAttestation(members)

@@ -6,13 +6,12 @@ software model of that core: four T-tables fold SubBytes, ShiftRows and
 MixColumns into one lookup layer per round, which keeps the 28,488-frame
 readback MAC tractable in pure Python.
 
-Only encryption is required by CMAC; decryption is provided for
-completeness and round-trip testing.
+Only encryption is modelled: CMAC and the PRF never decrypt.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 BLOCK_SIZE = 16
 
@@ -35,7 +34,7 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> Tuple[List[int], List[int]]:
+def _build_sbox() -> List[int]:
     # Build the multiplicative inverse table via exp/log over generator 3.
     exp = [0] * 510
     log = [0] * 256
@@ -48,25 +47,21 @@ def _build_sbox() -> Tuple[List[int], List[int]]:
         exp[exponent] = exp[exponent - 255]
 
     sbox = [0] * 256
-    inverse_sbox = [0] * 256
     for byte in range(256):
         inv = 0 if byte == 0 else exp[255 - log[byte]]
         transformed = 0x63
         for shift in (0, 1, 2, 3, 4):
             transformed ^= ((inv << shift) | (inv >> (8 - shift))) & 0xFF
         sbox[byte] = transformed & 0xFF
-    for byte, mapped in enumerate(sbox):
-        inverse_sbox[mapped] = byte
-    return sbox, inverse_sbox
+    return sbox
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 
 
-def _build_tables() -> Tuple[List[List[int]], List[List[int]]]:
-    """Encryption tables Te0..Te3 and decryption tables Td0..Td3."""
+def _build_tables() -> List[List[int]]:
+    """Encryption tables Te0..Te3."""
     te = [[0] * 256 for _ in range(4)]
-    td = [[0] * 256 for _ in range(4)]
     for byte in range(256):
         s = SBOX[byte]
         word = (
@@ -77,22 +72,10 @@ def _build_tables() -> Tuple[List[List[int]], List[List[int]]]:
         )
         for column in range(4):
             te[column][byte] = ((word >> (8 * column)) | (word << (32 - 8 * column))) & 0xFFFFFFFF
-
-        inv = INV_SBOX[byte]
-        word = (
-            (_gf_mul(inv, 14) << 24)
-            | (_gf_mul(inv, 9) << 16)
-            | (_gf_mul(inv, 13) << 8)
-            | _gf_mul(inv, 11)
-        )
-        for column in range(4):
-            td[column][byte] = ((word >> (8 * column)) | (word << (32 - 8 * column))) & 0xFFFFFFFF
-    return te, td
+    return te
 
 
-_TE, _TD = _build_tables()
-_TE0, _TE1, _TE2, _TE3 = _TE
-_TD0, _TD1, _TD2, _TD3 = _TD
+_TE0, _TE1, _TE2, _TE3 = _build_tables()
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D]
 
@@ -141,37 +124,10 @@ class Aes:
         self._key_words = len(key) // 4
         self._rounds = self._key_words + 6
         self._round_keys = expand_round_keys(key)
-        self._dec_round_keys = self._invert_key_schedule(self._round_keys)
 
     @property
     def rounds(self) -> int:
         return self._rounds
-
-    def _invert_key_schedule(self, round_keys: Sequence[int]) -> List[int]:
-        """Equivalent decryption schedule (InvMixColumns on middle keys)."""
-        rounds = self._rounds
-        inverted: List[int] = []
-        for round_index in range(rounds, -1, -1):
-            chunk = round_keys[4 * round_index : 4 * round_index + 4]
-            if 0 < round_index < rounds:
-                chunk = [self._inv_mix_word(word) for word in chunk]
-            inverted.extend(chunk)
-        return inverted
-
-    @staticmethod
-    def _inv_mix_word(word: int) -> int:
-        result = 0
-        for shift in (24, 16, 8, 0):
-            byte = (word >> shift) & 0xFF
-            mixed = (
-                (_gf_mul(byte, 14) << 24)
-                | (_gf_mul(byte, 9) << 16)
-                | (_gf_mul(byte, 13) << 8)
-                | _gf_mul(byte, 11)
-            )
-            rotation = 24 - shift
-            result ^= ((mixed >> rotation) | (mixed << (32 - rotation))) & 0xFFFFFFFF
-        return result
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
@@ -247,76 +203,3 @@ class Aes:
             + out3.to_bytes(4, "big")
         )
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        keys = self._dec_round_keys
-        s0 = int.from_bytes(block[0:4], "big") ^ keys[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ keys[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ keys[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ keys[3]
-
-        offset = 4
-        for _ in range(self._rounds - 1):
-            t0 = (
-                _TD0[s0 >> 24]
-                ^ _TD1[(s3 >> 16) & 0xFF]
-                ^ _TD2[(s2 >> 8) & 0xFF]
-                ^ _TD3[s1 & 0xFF]
-                ^ keys[offset]
-            )
-            t1 = (
-                _TD0[s1 >> 24]
-                ^ _TD1[(s0 >> 16) & 0xFF]
-                ^ _TD2[(s3 >> 8) & 0xFF]
-                ^ _TD3[s2 & 0xFF]
-                ^ keys[offset + 1]
-            )
-            t2 = (
-                _TD0[s2 >> 24]
-                ^ _TD1[(s1 >> 16) & 0xFF]
-                ^ _TD2[(s0 >> 8) & 0xFF]
-                ^ _TD3[s3 & 0xFF]
-                ^ keys[offset + 2]
-            )
-            t3 = (
-                _TD0[s3 >> 24]
-                ^ _TD1[(s2 >> 16) & 0xFF]
-                ^ _TD2[(s1 >> 8) & 0xFF]
-                ^ _TD3[s0 & 0xFF]
-                ^ keys[offset + 3]
-            )
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            offset += 4
-
-        sbox = INV_SBOX
-        out0 = (
-            (sbox[s0 >> 24] << 24)
-            | (sbox[(s3 >> 16) & 0xFF] << 16)
-            | (sbox[(s2 >> 8) & 0xFF] << 8)
-            | sbox[s1 & 0xFF]
-        ) ^ keys[offset]
-        out1 = (
-            (sbox[s1 >> 24] << 24)
-            | (sbox[(s0 >> 16) & 0xFF] << 16)
-            | (sbox[(s3 >> 8) & 0xFF] << 8)
-            | sbox[s2 & 0xFF]
-        ) ^ keys[offset + 1]
-        out2 = (
-            (sbox[s2 >> 24] << 24)
-            | (sbox[(s1 >> 16) & 0xFF] << 16)
-            | (sbox[(s0 >> 8) & 0xFF] << 8)
-            | sbox[s3 & 0xFF]
-        ) ^ keys[offset + 2]
-        out3 = (
-            (sbox[s3 >> 24] << 24)
-            | (sbox[(s2 >> 16) & 0xFF] << 16)
-            | (sbox[(s1 >> 8) & 0xFF] << 8)
-            | sbox[s0 & 0xFF]
-        ) ^ keys[offset + 3]
-        return (
-            out0.to_bytes(4, "big")
-            + out1.to_bytes(4, "big")
-            + out2.to_bytes(4, "big")
-            + out3.to_bytes(4, "big")
-        )

@@ -1,11 +1,13 @@
 """The fleet controller: N devices, one sharded attestation sweep.
 
 Drives one :class:`~repro.core.net_session.NetworkAttestationSession`
-per selected device through the sharded worker pool extracted from the
-swarm sweep (:func:`repro.core.swarm.map_sharded`), and records every
-outcome — verdict, MAC tag, structured failure, duration — into the
-persistent :class:`~repro.fleet.store.FleetStore` together with the
-sweep's merged metrics snapshot.
+per selected device through the sweep dispatch and failure fold it
+shares with the swarm (:func:`repro.core.swarm.sweep_devices` over
+:func:`~repro.core.swarm.map_sharded`, and
+:func:`~repro.core.swarm.fold_failure`), and records every outcome —
+verdict, MAC tag, structured failure, duration — into the persistent
+:class:`~repro.fleet.store.FleetStore` together with the sweep's merged
+metrics snapshot.
 
 Determinism is the same contract the swarm gives: every device's RNG is
 forked from the sweep RNG by device id *before* dispatch, each device
@@ -25,14 +27,14 @@ an INCONCLUSIVE outcome rather than crashing the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.core.net_session import NetworkAttestationSession
 from repro.core.provisioning import materialize_device, tamper_static_frame
 from repro.core.report import AttestationReport, FailureReason, Verdict
-from repro.core.swarm import map_sharded
+from repro.core.swarm import fold_failure, sweep_devices
 from repro.core.verifier import SachaVerifier
-from repro.errors import FleetError, ReproError
+from repro.errors import FleetError
 from repro.fleet.store import DeviceRecord, FleetStore
 from repro.net.channel import Channel, LatencyModel
 from repro.net.faults import FaultModel, FaultProfile
@@ -145,24 +147,22 @@ class FleetController:
         self, device: DeviceRecord, rng: DeterministicRng
     ) -> FleetDeviceOutcome:
         """Re-materialize and attest one device; failures fold inward."""
-        try:
-            return self._attest_device_inner(device, rng)
-        except ReproError as exc:
-            _log.warning(
-                "fleet_device_failed", device_id=device.device_id, error=str(exc)
-            )
-            return FleetDeviceOutcome(
-                device_id=device.device_id,
-                report=AttestationReport.make_inconclusive(
-                    FailureReason(
-                        stage="fleet", kind=type(exc).__name__, detail=str(exc)
-                    )
-                ),
-            )
+        outcome = fold_failure(
+            lambda: self._attest_device_inner(device, rng),
+            stage="fleet",
+            log=_log,
+            event="fleet_device_failed",
+            device_id=device.device_id,
+        )
+        if isinstance(outcome, FleetDeviceOutcome):
+            return outcome
+        return FleetDeviceOutcome(device_id=device.device_id, report=outcome)
 
     def _attest_device_inner(
         self, device: DeviceRecord, rng: DeterministicRng
-    ) -> FleetDeviceOutcome:
+    ) -> Union[FleetDeviceOutcome, AttestationReport]:
+        """The device's session outcome, or a bare INCONCLUSIVE report
+        when its re-derived key fails the enrolment check."""
         provisioned, record = materialize_device(
             device.part,
             device.device_id,
@@ -170,16 +170,13 @@ class FleetController:
             key_mode=device.key_mode,
         )
         if not record.mac_key.compare_digest(device.key):
-            return FleetDeviceOutcome(
-                device_id=device.device_id,
-                report=AttestationReport.make_inconclusive(
-                    FailureReason(
-                        stage="fleet",
-                        kind="key_mismatch",
-                        detail="re-derived device key does not match the "
-                        "enrolled key material",
-                    )
-                ),
+            return AttestationReport.make_inconclusive(
+                FailureReason(
+                    stage="fleet",
+                    kind="key_mismatch",
+                    detail="re-derived device key does not match the "
+                    "enrolled key material",
+                )
             )
         if device.tampered:
             # The registry models a compromised device: flip one static
@@ -244,10 +241,6 @@ class FleetController:
             seed, self._profile_text, workers, len(selected)
         )
         sweep_registry = MetricsRegistry(enabled=True)
-        rng = DeterministicRng(seed)
-        # Pre-forked per-device RNGs: verdicts, nonces and tags depend
-        # only on (device, sweep seed), never on scheduling.
-        device_rngs = [rng.fork(device.device_id) for device in selected]
         with use_context_registry(sweep_registry):
             queue_depth = sweep_registry.gauge(
                 "sacha_fleet_queue_depth",
@@ -255,11 +248,10 @@ class FleetController:
             )
             queue_depth.set(float(len(selected)))
             with span("fleet_sweep", sweep_id=sweep_id, devices=len(selected)):
-                outcomes = map_sharded(
-                    lambda index: self._attest_device(
-                        selected[index], device_rngs[index]
-                    ),
-                    len(selected),
+                outcomes = sweep_devices(
+                    self._attest_device,
+                    selected,
+                    DeterministicRng(seed),
                     workers,
                     registry=sweep_registry,
                 )

@@ -335,6 +335,8 @@ class BitstreamLoader:
 
     Implements the loader state machine: sync detection, register writes,
     FAR auto-increment across FDRI data, CRC verification, IDCODE check.
+    A load only finishes once a sync word was seen and every frame written
+    was covered by a later passing CRC check.
     """
 
     def __init__(self, icap: Icap) -> None:
@@ -354,6 +356,7 @@ class BitstreamLoader:
         words = bitstream.words
         position = 0
         synced = False
+        ever_synced = False
         pending_command: Optional[ConfigCommand] = None
 
         while position < len(words):
@@ -361,7 +364,7 @@ class BitstreamLoader:
             position += 1
             if not synced:
                 if word == SYNC_WORD:
-                    synced = True
+                    synced = ever_synced = True
                 continue
             packet_type = word >> 29
             op = (word >> 27) & 0b11
@@ -401,6 +404,12 @@ class BitstreamLoader:
                 )
                 continue
             raise BitstreamError(f"unknown packet type {packet_type:#05b}")
+        if not ever_synced:
+            raise BitstreamError("bitstream never synchronized")
+        if registers.get(int(ConfigRegister.CRC), -1) < report.frame_count:
+            raise BitstreamError(
+                "bitstream ends without a passing CRC check after its last frame"
+            )
         return report
 
     def _apply_write(
@@ -419,6 +428,8 @@ class BitstreamLoader:
                 raise BitstreamCrcError(
                     f"bitstream CRC mismatch at check #{report.crc_checks}"
                 )
+            # Remember how many frames the passing check covers.
+            registers[int(ConfigRegister.CRC)] = report.frame_count
             return None
 
         if register == ConfigRegister.FDRI:

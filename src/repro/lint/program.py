@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.findings import Finding
@@ -118,20 +118,6 @@ class ProjectModel:
         self.classes_by_name: Dict[str, List[ClassInfo]] = {}
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_sources(
-        cls,
-        sources: Mapping[str, str],
-        config: LintConfig = DEFAULT_CONFIG,
-    ) -> "ProjectModel":
-        """Build a model from an in-memory ``{relpath: source}`` tree."""
-        parsed: List[Tuple[str, str, ast.Module]] = []
-        for relpath in sorted(sources):
-            parsed.append(
-                (relpath, sources[relpath], ast.parse(sources[relpath]))
-            )
-        return cls.from_parsed(parsed, config)
 
     @classmethod
     def from_parsed(

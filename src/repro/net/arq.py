@@ -264,16 +264,6 @@ class ArqLink:
         return self._failed
 
     @property
-    def rto_ns(self) -> float:
-        """The current (pre-backoff) retransmission timeout."""
-        return self._rto_ns
-
-    @property
-    def srtt_ns(self) -> Optional[float]:
-        """The smoothed round-trip-time estimate, once sampled."""
-        return self._srtt_ns
-
-    @property
     def window(self) -> int:
         """The configured send-window size (the AIMD ceiling)."""
         return self._window
@@ -285,11 +275,6 @@ class ArqLink:
         if not self._tuning.adaptive:
             return self._window
         return max(1, int(self._cwnd))
-
-    @property
-    def in_flight_count(self) -> int:
-        """Unacknowledged payloads currently outstanding."""
-        return len(self._in_flight)
 
     # -- sending -----------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.provisioning import provision_device
-from repro.core.swarm import SwarmAttestation, SwarmMember, build_swarm
+from repro.core.swarm import SwarmAttestation, SwarmMember
 from repro.core.verifier import SachaVerifier
 from repro.design.sacha_design import build_sacha_system
 from repro.errors import ProtocolError
@@ -64,19 +64,9 @@ class TestSwarmSweep:
 
 
 class TestSwarmConstruction:
-    def test_build_swarm_factory(self):
-        def factory(index):
-            member = _make_member(index + 10)
-            return member.device_id, member.prover, member.verifier
-
-        swarm = build_swarm(factory, 3)
-        assert len(swarm) == 3
-
     def test_empty_swarm_rejected(self):
         with pytest.raises(ProtocolError):
             SwarmAttestation([])
-        with pytest.raises(ProtocolError):
-            build_swarm(lambda i: None, 0)
 
     def test_duplicate_device_ids_rejected(self):
         member = _make_member(42)

@@ -7,7 +7,7 @@ must produce the FIPS-197 ciphertexts bit for bit.
 
 import pytest
 
-from repro.crypto.aes import BLOCK_SIZE, Aes, INV_SBOX, SBOX
+from repro.crypto.aes import BLOCK_SIZE, SBOX, Aes
 from repro.perf.backends import get_cipher
 
 PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -43,12 +43,6 @@ class TestFips197Vectors:
         cipher = get_cipher(bytes.fromhex(key_hex), backend)
         assert cipher.encrypt_block(PLAINTEXT).hex() == expected
 
-    @pytest.mark.parametrize("key_len", [16, 24, 32])
-    def test_decrypt_inverts_encrypt(self, key_len):
-        aes = Aes(bytes(range(key_len)))
-        ciphertext = aes.encrypt_block(PLAINTEXT)
-        assert aes.decrypt_block(ciphertext) == PLAINTEXT
-
     def test_rounds_by_key_size(self):
         assert Aes(bytes(16)).rounds == 10
         assert Aes(bytes(24)).rounds == 12
@@ -58,9 +52,6 @@ class TestFips197Vectors:
 class TestSbox:
     def test_sbox_is_permutation(self):
         assert sorted(SBOX) == list(range(256))
-
-    def test_inverse_sbox_inverts(self):
-        assert all(INV_SBOX[SBOX[b]] == b for b in range(256))
 
     def test_known_sbox_entries(self):
         assert SBOX[0x00] == 0x63
@@ -76,8 +67,6 @@ class TestInputValidation:
         aes = Aes(bytes(16))
         with pytest.raises(ValueError):
             aes.encrypt_block(bytes(BLOCK_SIZE - 1))
-        with pytest.raises(ValueError):
-            aes.decrypt_block(bytes(BLOCK_SIZE + 1))
 
 
 class TestDiffusion:

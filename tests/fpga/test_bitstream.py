@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.design import build_sacha_system
 from repro.errors import BitstreamCrcError, BitstreamError
 from repro.fpga.bitstream import (
     Bitstream,
@@ -179,3 +180,38 @@ class TestWriterValidation:
         writer.write_register(ConfigRegister.CMD, [33])
         with pytest.raises(BitstreamError, match="unknown CMD"):
             BitstreamLoader(_fresh_icap()).load(writer.finish())
+
+
+class TestUncheckedLoadRejected:
+    """A load finishes only after a sync word and a passing CRC check
+    over every frame written — the JustSTART bug class."""
+
+    @staticmethod
+    def _static_bytes():
+        return bytearray(build_sacha_system(SIM_SMALL).static_bitstream().to_bytes())
+
+    def test_clean_static_bitstream_loads(self):
+        data = self._static_bytes()
+        report = BitstreamLoader(_fresh_icap()).load(Bitstream.from_bytes(bytes(data)))
+        assert (report.frame_count, report.crc_checks) == (10, 1)
+
+    def test_fdri_count_swallowing_the_crc_check_is_rejected(self):
+        # Bit 2 of byte 263 turns the second FDRI header's count from 8 to
+        # 12 words: the CRC and DESYNC packets become a third frame.
+        data = self._static_bytes()
+        data[263] ^= 1 << 2
+        with pytest.raises(BitstreamError, match="CRC check"):
+            BitstreamLoader(_fresh_icap()).load(Bitstream.from_bytes(bytes(data)))
+
+    def test_damaged_sync_word_is_rejected(self):
+        data = self._static_bytes()
+        data[72] ^= 0xFF
+        with pytest.raises(BitstreamError, match="never synchronized"):
+            BitstreamLoader(_fresh_icap()).load(Bitstream.from_bytes(bytes(data)))
+
+    def test_frames_after_the_last_check_are_rejected(self, random_memory):
+        frame = random_memory.read_frame(0)
+        writer = BitstreamWriter(SIM_SMALL, "x").sync()
+        writer.write_frames(0, [frame]).crc_check().write_frames(1, [frame])
+        with pytest.raises(BitstreamError, match="CRC check"):
+            BitstreamLoader(_fresh_icap()).load(writer.desync().finish())

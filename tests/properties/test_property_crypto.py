@@ -16,19 +16,13 @@ messages = st.binary(min_size=0, max_size=600)
 
 
 class TestAesProperties:
-    @given(key=keys, block=blocks)
-    @settings(max_examples=50)
-    def test_decrypt_inverts_encrypt(self, key, block):
-        aes = Aes(key)
-        assert aes.decrypt_block(aes.encrypt_block(block)) == block
-
-    @given(key=keys, block=blocks)
+    @given(key=keys, block=blocks, other=blocks)
     @settings(max_examples=30)
-    def test_encryption_is_a_permutation(self, key, block):
+    def test_encryption_is_a_permutation(self, key, block, other):
+        # Injectivity: distinct blocks under one key never collide.
         aes = Aes(key)
-        assert aes.encrypt_block(block) != block or True  # no fixed-point claim
-        # Injectivity witnessed through invertibility:
-        assert aes.decrypt_block(aes.encrypt_block(block)) == block
+        same = aes.encrypt_block(block) == aes.encrypt_block(other)
+        assert same == (block == other)
 
 
 class TestCmacProperties:

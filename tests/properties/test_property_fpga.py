@@ -97,8 +97,9 @@ def _bitstream_blobs():
 
 class TestBitstreamMutationProperties:
     """A bitstream damaged in a few bits is rejected with a typed error
-    (or still loads), never with a crash: the parser and loader are the
-    prover's first line against crafted configuration input."""
+    (or still loads, CRC-checked), never with a crash: the parser and
+    loader are the prover's first line against crafted configuration
+    input."""
 
     @given(
         which=st.sampled_from((0, 1)),
@@ -112,9 +113,12 @@ class TestBitstreamMutationProperties:
             data[position // 8] ^= 1 << (position % 8)
         try:
             bitstream = Bitstream.from_bytes(bytes(data))
-            BitstreamLoader(Icap(ConfigurationMemory(SIM_SMALL))).load(bitstream)
+            report = BitstreamLoader(Icap(ConfigurationMemory(SIM_SMALL))).load(
+                bitstream
+            )
         except ReproError:
-            pass
+            return
+        assert report.crc_checks >= 1
 
 
 class TestMaskProperties:
